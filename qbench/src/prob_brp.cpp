@@ -5,6 +5,7 @@
 // ALAP) — plus the train-gate estimate Pr[<=30](<> Train(0).Cross) on a
 // 4-worker executor. No zone-inclusion store is involved in the mcpta and
 // simulation parts, so zone-level changes should leave this workload flat.
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -45,8 +46,9 @@ constexpr unsigned kSmcWorkers = 4;
 // runs (1 057 679 hits); its own interval at the kZ level is +-1.2e-3, far
 // inside the +-1.7e-2 a 20 000-run estimate is checked against.
 constexpr double kTrainGateCross = 0.2644198;
-constexpr int kSetupRepeats = 5;
-/// As few as 39 passes ran in a slow 30 s run: 11 beyond p70.
+constexpr int kSetupRepeats = 7;
+/// Tail in the details line. As few as 39 passes ran in a slow 30 s run:
+/// 11 beyond p70.
 constexpr double kTailPct = 70.0;
 
 std::string printed(const char* fmt, double v) {
@@ -75,11 +77,16 @@ struct Inputs {
   }
 };
 
-/// Per-pass layer figures (traced passes only read them).
+/// The pass's stages, in order: Table I's mctau, mcpta and modes columns,
+/// then the SMC estimate.
+constexpr std::size_t kStages = 4;
+
+/// Per-pass layer figures (traced passes only read them) and stage times.
 struct PassStats {
   std::int64_t vi_iterations = 0;
   exec::RunTelemetry telemetry;
   double des_s = 0.0;
+  std::array<double, kStages> stage_s{};
 };
 
 /// One quantitative pass; returns "" when every answer checks, otherwise
@@ -91,6 +98,12 @@ std::string run_pass(const Inputs& in, exec::Executor& ex,
   const std::int32_t pid = root.id();
   const models::Brp& brp = in.brp;
   const int to = brp.params.effective_timeout();
+  Clock::time_point stage_t0 = Clock::now();
+  auto end_stage = [&](std::size_t k) {
+    const Clock::time_point now = Clock::now();
+    ps->stage_s[k] = std::chrono::duration<double>(now - stage_t0).count();
+    stage_t0 = now;
+  };
 
   // ---- mctau ---------------------------------------------------------------
   {
@@ -126,6 +139,8 @@ std::string run_pass(const Inputs& in, exec::Executor& ex,
       return "mctau: P1/P2 bound excludes the mcpta value";
     }
   }
+
+  end_stage(0);
 
   // ---- mcpta ---------------------------------------------------------------
   std::unique_ptr<pta::DigitalMdp> dm, dmg;
@@ -177,6 +192,8 @@ std::string run_pass(const Inputs& in, exec::Executor& ex,
            printed("%.8f", dmax) + " " + printed("%.6f", emax);
   }
 
+  end_stage(1);
+
   // ---- modes ---------------------------------------------------------------
   {
     Scope span(tr, "sta.des", pid, pass);
@@ -219,6 +236,8 @@ std::string run_pass(const Inputs& in, exec::Executor& ex,
     }
   }
 
+  end_stage(2);
+
   // ---- smc on the shared executor -----------------------------------------
   {
     Scope span(tr, "smc.estimate", pid, pass);
@@ -230,6 +249,7 @@ std::string run_pass(const Inputs& in, exec::Executor& ex,
       return "smc: estimate outside its interval: " + std::to_string(est.hits);
     }
   }
+  end_stage(3);
   return "";
 }
 
@@ -251,6 +271,7 @@ void prob_brp_run(const Args& args, Outcome& out) {
   }
 
   std::vector<double> lat_ms;
+  std::array<std::vector<double>, kStages> stage_ms;
   const Clock::time_point start = Clock::now();
   while (seconds_since(start) < args.seconds) {
     PassStats ps;
@@ -259,17 +280,31 @@ void prob_brp_run(const Args& args, Outcome& out) {
         run_pass(*in, in->executor, args.seed, pass++, nullptr, &ps);
     lat_ms.push_back(seconds_since(t0) * 1e3);
     out.check_op(why.empty(), "prob-brp: " + why);
+    for (std::size_t k = 0; k < kStages; ++k) {
+      stage_ms[k].push_back(ps.stage_s[k] * 1e3);
+    }
   }
   const double elapsed = seconds_since(start);
   const Tail tail = tail_at(lat_ms, kTailPct);
-  out.metric("setup_s", median(setups), "s");
-  out.metric("latency_p50_ms", median(lat_ms), "ms");
-  out.metric("latency_tail_ms", tail.value, "ms");
-  out.metric("throughput_qps", static_cast<double>(lat_ms.size()) / elapsed,
-             "1/s");
+  double stage_sum_ms = 0.0;
+  std::string stage_min = "[";
+  for (const auto& v : stage_ms) {
+    stage_sum_ms += closed_loop_latency(v);
+    stage_min += (stage_min.size() > 1 ? ", " : "") +
+                 json_number(closed_loop_latency(v));
+  }
+  stage_min += "]";
+  out.metric("latency_ms", stage_sum_ms, "ms");
   out.metric("peak_rss_mb", peak_rss_mb(), "MB");
+  out.metric("setup_s", median(setups), "s");
   out.details.str("loop", "closed, 1 client")
       .integer("passes", static_cast<std::int64_t>(lat_ms.size()))
+      .raw("stage_min_ms", stage_min)
+      .num("latency_min_ms", closed_loop_latency(lat_ms))
+      .num("latency_p10_ms", percentile(lat_ms, 10.0))
+      .num("latency_p50_ms", median(lat_ms))
+      .num("latency_tail_ms", tail.value)
+      .num("throughput_qps", static_cast<double>(lat_ms.size()) / elapsed)
       .num("tail_percentile", tail.pct)
       .integer("tail_samples_beyond",
                static_cast<std::int64_t>(tail.beyond))

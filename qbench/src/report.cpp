@@ -122,6 +122,16 @@ double percentile_sorted(const std::vector<double>& sorted, double p) {
 
 }  // namespace
 
+double percentile(std::vector<double> samples, double pct) {
+  std::sort(samples.begin(), samples.end());
+  return percentile_sorted(samples, pct);
+}
+
+double closed_loop_latency(const std::vector<double>& samples) {
+  return samples.empty() ? 0.0
+                         : *std::min_element(samples.begin(), samples.end());
+}
+
 Tail tail_at(std::vector<double> samples, double pct) {
   std::sort(samples.begin(), samples.end());
   Tail t;

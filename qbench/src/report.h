@@ -83,6 +83,17 @@ struct Outcome {
 
 double median(std::vector<double> v);
 double mean(const std::vector<double>& v);
+/// Nearest-rank percentile, pct in [0, 100]; 0 for an empty sample.
+double percentile(std::vector<double> samples, double pct);
+
+/// The latency of work repeated identically in a closed loop: the fastest
+/// repeat. A zone-mc query and each stage of a prob-brp pass do the same
+/// work every time, so timing noise only ever adds to their cost, and the
+/// minimum is the estimate that noise moves least. On a shared host the
+/// slow phases last seconds to minutes (the same query ran 360 ms in one
+/// and 550 ms in the next); the median follows them, the minimum needs one
+/// repeat in a quiet moment.
+double closed_loop_latency(const std::vector<double>& samples);
 
 /// The tail latency at a fixed percentile per workload: the highest
 /// percentile that keeps at least ten samples beyond it even in the
