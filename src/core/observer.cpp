@@ -29,10 +29,11 @@ std::string StatsObserver::summary() const {
   int n = std::snprintf(
       buf, sizeof(buf),
       "%zu stored (peak %zu, %zu covered), %zu explored, "
-      "%.0f states/s, table %zu/%zu slots (max chain %zu)",
+      "%.0f states/s, table %zu/%zu slots (max chain %zu), "
+      "%zu zone compares (%zu skipped by signature)",
       stats_.states_stored, peak_stored_, metrics_.covered, explored_,
       states_per_second(), metrics_.occupied, metrics_.slots,
-      metrics_.max_chain);
+      metrics_.max_chain, metrics_.zone_compares, metrics_.signature_rejects);
   if (metrics_.pool.lookups > 0 && n > 0 &&
       static_cast<std::size_t>(n) < sizeof(buf)) {
     std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n),

@@ -28,6 +28,14 @@
 // insertion order, chain membership, chain scan order and the rehash
 // trajectory are bit-identical to an unpooled store. state(id) materializes
 // an S by value on demand.
+//
+// Signature-filtered inclusion scan: when the traits define the optional
+// signature hook (core::SignedTraits — see traits.h), an inclusion store
+// keeps a 16-byte signature per state and checks it right after the covered
+// bit, before the partition test and the zone compare. A rejecting signature
+// proves the two states incomparable, so the skip never changes an intern
+// result, an id or the covered journal; it only saves the loads of the
+// stored record and its pooled rows for most of a long chain.
 #pragma once
 
 #include <cassert>
@@ -51,6 +59,8 @@ struct StoreMetrics {
   std::size_t slots = 0;      ///< hash-table capacity
   std::size_t occupied = 0;   ///< slots in use (= distinct key hashes)
   std::size_t max_chain = 0;  ///< longest same-hash chain
+  std::size_t zone_compares = 0;      ///< inclusion compares of two states
+  std::size_t signature_rejects = 0;  ///< entries skipped by signature
   std::size_t memory_bytes = 0;  ///< StateStore::memory_bytes() at snapshot
   store::PoolMetrics pool{};  ///< payload-pool snapshot (zero when unpooled)
 
@@ -81,6 +91,8 @@ class StateStore {
   static constexpr bool kPooled = PooledTraits<Traits>;
   /// What states_ actually holds.
   using Stored = typename detail::StoredOf<S, Traits>::type;
+  /// True when the traits provide an inclusion signature for S.
+  static constexpr bool kSigned = SignedTraits<Traits, S>;
 
   struct Options {
     /// Dedup by partition + inclusion instead of full-state equality.
@@ -113,42 +125,48 @@ class StateStore {
   Interned intern(S s) {
     common::FaultInjector::site("core.state_store.intern");
     const std::size_t h = key_hash(s);
+    const Signature sig = signature_of(s);
     std::size_t slot = probe_slot(h);
     std::int32_t tail = kEmpty;
-    if (slots_[slot] != kEmpty) {
-      // Walk the chain of states with this key hash, oldest first — the
-      // scan order determines which stored zone subsumes first, so keep it
-      // deterministic and identical to the historical per-engine buckets.
-      for (std::int32_t id = slots_[slot]; id != kEmpty; id = next_[toIdx(id)]) {
-        tail = id;
-        if (opts_.inclusion) {
-          if constexpr (Traits::kSupportsInclusion) {
-            if (covered_[toIdx(id)] ||
-                !stored_same_partition(states_[toIdx(id)], s)) {
+    std::size_t chain = 0;
+    // Walk the chain of states with this key hash, oldest first — the scan
+    // order determines which stored zone subsumes first, so keep it
+    // deterministic and identical to the historical per-engine buckets.
+    for (std::int32_t id = slots_[slot]; id != kEmpty; id = next_[toIdx(id)]) {
+      tail = id;
+      ++chain;
+      if (opts_.inclusion) {
+        if constexpr (Traits::kSupportsInclusion) {
+          if (covered_[toIdx(id)]) continue;
+          if constexpr (kSigned) {
+            if (signature_rejects(sigs_[toIdx(id)], sig)) {
+              ++signature_rejects_;
               continue;
             }
-            switch (stored_compare(states_[toIdx(id)], s)) {
-              case Subsumes::kStored:
-                return {id, false};
-              case Subsumes::kIncoming:
-                if (opts_.tombstone_covered) {
-                  covered_[toIdx(id)] = 1;
-                  ++covered_count_;
-                  covered_journal_.push_back(id);
-                }
-                break;
-              case Subsumes::kNone:
-                break;
-            }
           }
-        } else {
-          if (stored_equal(states_[toIdx(id)], s)) return {id, false};
+          if (!stored_same_partition(states_[toIdx(id)], s)) continue;
+          ++zone_compares_;
+          switch (stored_compare(states_[toIdx(id)], s)) {
+            case Subsumes::kStored:
+              return {id, false};
+            case Subsumes::kIncoming:
+              if (opts_.tombstone_covered) {
+                covered_[toIdx(id)] = 1;
+                ++covered_count_;
+                covered_journal_.push_back(id);
+              }
+              break;
+            case Subsumes::kNone:
+              break;
+          }
         }
+      } else {
+        if (stored_equal(states_[toIdx(id)], s)) return {id, false};
       }
     }
     const std::int32_t id = static_cast<std::int32_t>(states_.size());
-    push_state(std::move(s), h);
-    link_state(id, slot, tail);
+    push_state(std::move(s), h, sig);
+    link_state(id, slot, tail, chain + 1);
     return {id, true};
   }
 
@@ -217,10 +235,11 @@ class StateStore {
     store.hashes_.reserve(n);
     store.next_.reserve(n);
     store.covered_.reserve(n);
-    store.chain_len_.reserve(n);
+    if (store.keeps_signatures()) store.sigs_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t h = store.key_hash(states[i]);
-      store.push_state(std::move(states[i]), h);
+      const Signature sig = store.signature_of(states[i]);
+      store.push_state(std::move(states[i]), h, sig);
       if (covered[i] != 0) {
         store.covered_[i] = 1;
         ++store.covered_count_;
@@ -228,11 +247,13 @@ class StateStore {
       }
       const std::size_t slot = store.probe_slot(h);
       std::int32_t tail = kEmpty;
+      std::size_t chain = 0;
       for (std::int32_t id = store.slots_[slot]; id != kEmpty;
            id = store.next_[toIdx(id)]) {
         tail = id;
+        ++chain;
       }
-      store.link_state(static_cast<std::int32_t>(i), slot, tail);
+      store.link_state(static_cast<std::int32_t>(i), slot, tail, chain + 1);
     }
     return store;
   }
@@ -244,6 +265,8 @@ class StateStore {
     m.slots = slots_.size();
     m.occupied = occupied_;
     m.max_chain = max_chain_;
+    m.zone_compares = zone_compares_;
+    m.signature_rejects = signature_rejects_;
     m.memory_bytes = memory_bytes();
     if constexpr (kPooled) m.pool = pool_.metrics();
     return m;
@@ -281,15 +304,27 @@ class StateStore {
   /// Bytes one interned record adds to the store: the in-place object, its
   /// traits-reported heap payload (unpooled only — pooled payload is owned
   /// and counted by the pool), and the per-state bookkeeping columns
-  /// (hashes_, next_, covered_, chain_len_).
-  static std::size_t stored_bytes(const Stored& st) {
+  /// (hashes_, next_, covered_, and sigs_ when kept).
+  std::size_t stored_bytes(const Stored& st) const {
     std::size_t n = sizeof(Stored) + sizeof(std::size_t) +
-                    sizeof(std::int32_t) + sizeof(std::uint8_t) +
-                    sizeof(std::uint32_t);
+                    sizeof(std::int32_t) + sizeof(std::uint8_t);
+    if (keeps_signatures()) n += sizeof(Signature);
     if constexpr (requires { { Traits::memory_bytes(st) } -> std::convertible_to<std::size_t>; }) {
       n += Traits::memory_bytes(st);
     }
     return n;
+  }
+
+  /// Signatures are kept by inclusion stores over signed traits only.
+  bool keeps_signatures() const { return kSigned && opts_.inclusion; }
+
+  /// The incoming state's signature, or an unused zero one when none is
+  /// kept.
+  Signature signature_of(const S& s) const {
+    if constexpr (kSigned) {
+      if (opts_.inclusion) return Traits::signature(s);
+    }
+    return {};
   }
 
   std::size_t key_hash(const S& s) const {
@@ -326,7 +361,7 @@ class StateStore {
 
   /// Appends the state record and its bookkeeping columns (not yet linked
   /// into any chain).
-  void push_state(S&& s, std::size_t h) {
+  void push_state(S&& s, std::size_t h, const Signature& sig) {
     if constexpr (kPooled) {
       states_.push_back(Traits::pool(pool_, s));
     } else {
@@ -336,21 +371,19 @@ class StateStore {
     hashes_.push_back(h);
     next_.push_back(kEmpty);
     covered_.push_back(0);
-    chain_len_.push_back(0);
+    if (keeps_signatures()) sigs_.push_back(sig);
   }
 
   /// Links a freshly pushed state into its chain: appended after `tail`, or
-  /// installed as the head of a new chain. Chain lengths are maintained at
-  /// the head's index — chains only ever grow and heads never change, so
-  /// max_chain_ is a cheap monotone maximum.
-  void link_state(std::int32_t id, std::size_t slot, std::int32_t tail) {
+  /// installed as the head of a new chain. `len` is the chain's length with
+  /// the new state — the caller walked the whole chain to find its tail —
+  /// and chains never shrink, so max_chain_ is a cheap monotone maximum.
+  void link_state(std::int32_t id, std::size_t slot, std::int32_t tail,
+                  std::size_t len) {
+    if (len > max_chain_) max_chain_ = len;
     if (tail != kEmpty) {
       next_[toIdx(tail)] = id;
-      const std::uint32_t len = ++chain_len_[toIdx(slots_[slot])];
-      if (len > max_chain_) max_chain_ = len;
     } else {
-      chain_len_[toIdx(id)] = 1;
-      if (max_chain_ == 0) max_chain_ = 1;
       slots_[slot] = id;
       ++occupied_;
       if (occupied_ * 2 >= slots_.size()) rehash(slots_.size() * 2);
@@ -390,11 +423,13 @@ class StateStore {
   std::vector<std::int32_t> next_;    ///< same-hash chain links
   std::vector<std::uint8_t> covered_;
   std::vector<std::int32_t> covered_journal_;  ///< tombstones in flip order
-  std::vector<std::uint32_t> chain_len_;  ///< chain length, kept at head ids
+  std::vector<Signature> sigs_;  ///< per-state signature (keeps_signatures)
   std::vector<std::int32_t> slots_;   ///< open-addressed table of chain heads
   std::size_t occupied_ = 0;
   std::size_t covered_count_ = 0;
   std::size_t max_chain_ = 0;  ///< longest chain ever (chains never shrink)
+  std::size_t zone_compares_ = 0;
+  std::size_t signature_rejects_ = 0;
   std::size_t bytes_ = 0;  ///< accumulated per-state bytes (see stored_bytes)
 };
 

@@ -100,11 +100,7 @@ class Explorer {
       if (n != states.size() || !r.fits(n, 4)) return false;
       parents.resize(static_cast<std::size_t>(n));
       for (std::uint64_t i = 0; i < n; ++i) parents[i] = r.i32();
-      moves.resize(static_cast<std::size_t>(n));
-      for (std::uint64_t i = 0; i < n; ++i) {
-        if (!ckpt::read_move(r, &moves[i])) return false;
-      }
-      if (!r.ok()) return false;
+      if (!read_moves(r, n, &moves)) return false;
     }
     // The base's covered flips all predate its journal cut; deltas validate
     // their journal base position against this running length.
@@ -146,12 +142,7 @@ class Explorer {
         for (std::uint64_t i = 0; i < appended; ++i) {
           parents.push_back(r.i32());
         }
-        for (std::uint64_t i = 0; i < appended; ++i) {
-          ta::Move m;
-          if (!ckpt::read_move(r, &m)) return false;
-          moves.push_back(std::move(m));
-        }
-        if (!r.ok()) return false;
+        if (!read_moves(r, appended, &moves)) return false;
       }
     }
 
@@ -216,7 +207,7 @@ class Explorer {
         ckpt::io::Writer w;
         w.u64(store_.size());
         for (std::int32_t p : parents_) w.i32(p);
-        for (const ta::Move& m : moves_) ckpt::write_move(w, m);
+        write_moves(w, 0);
         snap.add_section(ckpt::kSecEnginePayload, std::move(w));
       }
       ok = chain_->save_base(std::move(snap));
@@ -245,9 +236,7 @@ class Explorer {
         for (std::size_t i = saved_states_; i < parents_.size(); ++i) {
           w.i32(parents_[i]);
         }
-        for (std::size_t i = saved_states_; i < moves_.size(); ++i) {
-          ckpt::write_move(w, moves_[i]);
-        }
+        write_moves(w, saved_states_);
         secs.push_back(ckpt::Section{ckpt::kSecEnginePayload, w.take()});
       }
       ok = chain_->save_delta_link(std::move(secs));
@@ -266,6 +255,9 @@ class Explorer {
                    ckpt::ResumeInfo* resume) {
     if (!resumed) add_state(sem_.initial(), -1, ta::Move{});
     std::int32_t goal_node = -1;
+    // The state just visited, materialized once for the goal test and then
+    // moved into its expansion (the store may reallocate while expanding).
+    ta::SymState visited;
     core::CheckpointHook hook;
     const core::CheckpointHook* hook_ptr = nullptr;
     const std::uint64_t interval = opts_.checkpoint.effective_interval();
@@ -286,15 +278,15 @@ class Explorer {
     stats = core::explore(
         store_, waiting_, opts_.limits,
         [&](const core::Worklist::Entry& e) {
-          if (goal_(store_.state(e.id))) {
+          visited = store_.state(e.id);
+          if (goal_(visited)) {
             goal_node = e.id;
             return core::Visit::kStop;
           }
           return core::Visit::kContinue;
         },
         [&](const core::Worklist::Entry& e) -> std::size_t {
-          // Copy: the store's state vector may reallocate during expansion.
-          const ta::SymState state = store_.state(e.id);
+          const ta::SymState state = std::move(visited);
           std::size_t taken = 0;
           for (auto& tr : sem_.successors(state)) {
             ++taken;
@@ -330,11 +322,33 @@ class Explorer {
     auto [id, inserted] = store_.intern(std::move(s));
     if (!inserted) return;  // covered by a stored zone
     parents_.push_back(parent);
-    moves_.push_back(opts_.record_trace ? std::move(move) : ta::Move{});
+    if (opts_.record_trace) moves_.push_back(std::move(move));
     waiting_.push(id);
     if (opts_.observer != nullptr) {
       opts_.observer->on_state_stored(id, store_.size());
     }
+  }
+
+  /// Writes the move of every state from `first` on. Without traces no move
+  /// is kept, and each state gets an empty one, so the checkpoint bytes do
+  /// not depend on whether moves are stored.
+  void write_moves(ckpt::io::Writer& w, std::size_t first) const {
+    static const ta::Move kNoMove;
+    for (std::size_t i = first; i < store_.size(); ++i) {
+      ckpt::write_move(w, opts_.record_trace ? moves_[i] : kNoMove);
+    }
+  }
+
+  /// Reads `n` checkpointed moves, appending them to `out` only when traces
+  /// are recorded.
+  bool read_moves(ckpt::io::Reader& r, std::uint64_t n,
+                  std::vector<ta::Move>* out) const {
+    ta::Move m;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (!ckpt::read_move(r, &m)) return false;
+      if (opts_.record_trace) out->push_back(std::move(m));
+    }
+    return r.ok();
   }
 
   ta::SymbolicSemantics sem_;
@@ -344,7 +358,7 @@ class Explorer {
   core::Worklist waiting_;
   // Per-state payload, indexed by the store's dense ids.
   std::vector<std::int32_t> parents_;
-  std::vector<ta::Move> moves_;  ///< move that produced the state
+  std::vector<ta::Move> moves_;  ///< move that produced the state (traces only)
   // Counters carried over from the interrupted run when resuming.
   std::uint64_t baseline_explored_ = 0;
   std::uint64_t baseline_transitions_ = 0;

@@ -14,6 +14,7 @@
 // keeping exploration order bit-identical.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstring>
@@ -49,6 +50,32 @@ struct StateTraits<ta::SymState> {
   static Subsumes compare(const ta::SymState& stored,
                           const ta::SymState& incoming) {
     return relation_to_subsumes(incoming.zone.relation(stored.zone));
+  }
+
+  /// Inclusion signature (core::SignedTraits): up to 16 off-diagonal DBM
+  /// bounds — row 0 (lower bounds), then column 0 (upper bounds), then the
+  /// remaining entries row-major — each quantized by a non-decreasing map:
+  /// finite bounds to clamp(raw >> 1, -127, 127) + 128, so 1..255, and kInf
+  /// to 255. An empty zone gets the all-zero signature. Every state of a
+  /// partition has the same dim and so the same entry at each byte, which
+  /// makes a byte-wise `<` and `>` together a proof of
+  /// dbm::Relation::kDifferent.
+  static Signature signature(const ta::SymState& s) {
+    Signature sig{};
+    if (s.zone.is_empty()) return sig;
+    const int dim = s.zone.dim();
+    std::size_t k = 0;
+    auto put = [&](int i, int j) {
+      if (k < sig.size()) sig[k++] = quantize(s.zone.at(i, j));
+    };
+    for (int j = 1; j < dim; ++j) put(0, j);
+    for (int i = 1; i < dim; ++i) put(i, 0);
+    for (int i = 1; i < dim && k < sig.size(); ++i) {
+      for (int j = 1; j < dim; ++j) {
+        if (i != j) put(i, j);
+      }
+    }
+    return sig;
   }
 
   /// Heap bytes behind one zone state (discrete vectors + DBM matrix) — the
@@ -177,6 +204,9 @@ struct StateTraits<ta::SymState> {
     }
     if (le && ge) return dbm::Relation::kEqual;
     return le ? dbm::Relation::kSubset : dbm::Relation::kSuperset;
+  }
+  static std::uint8_t quantize(dbm::raw_t raw) {
+    return static_cast<std::uint8_t>(std::clamp(raw >> 1, -127, 127) + 128);
   }
   static Subsumes relation_to_subsumes(dbm::Relation r) {
     switch (r) {

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/observer.h"
 #include "core/worklist.h"
 #include "mc/reachability.h"
 #include "models/train_gate.h"
+#include "random_ta.h"
 #include "ta/traits.h"
 
 namespace {
@@ -191,7 +193,7 @@ TEST(StateStore, MemoryBytesAccountsJournalRehashHeadroomAndPool) {
   ASSERT_GT(m.covered, 300u);
   const std::size_t per_state =
       sizeof(SymStore::Stored) + sizeof(std::size_t) + sizeof(std::int32_t) +
-      sizeof(std::uint8_t) + sizeof(std::uint32_t);
+      sizeof(std::uint8_t) + sizeof(core::Signature);
   const std::size_t expected =
       store.size() * per_state + m.slots * sizeof(std::int32_t) +
       store.covered_journal().capacity() * sizeof(std::int32_t) +
@@ -254,6 +256,169 @@ TEST(StateStore, RestoreRebuildsTombstonedStoreStructurallyIdentically) {
   EXPECT_EQ(fresh_rebuilt.id, fresh_orig.id);
 }
 
+/// StateTraits<ta::SymState> without its signature hook: the unsigned scan
+/// every store ran before signatures, kept as the reference.
+struct HooklessTraits : core::StateTraits<ta::SymState> {
+  static core::Signature signature(const ta::SymState&) = delete;
+};
+using HooklessStore = StateStore<ta::SymState, HooklessTraits>;
+static_assert(SymStore::kSigned);
+static_assert(!HooklessStore::kSigned);
+static_assert(!StateStore<ta::DigitalState>::kSigned);
+
+/// A random canonical zone of dimension `dim` (some come out empty).
+/// Constraint values cluster on a few constants, so strict and non-strict
+/// bounds on one value meet, with a tail beyond the signature's ±127 clamp;
+/// unconstrained entries stay kInf.
+dbm::Dbm random_zone(common::Rng& rng, int dim) {
+  dbm::Dbm z = rng.bernoulli(0.5) ? dbm::Dbm::universal(dim)
+                                  : dbm::Dbm::zero(dim);
+  const int steps = rng.uniform_int(0, 6);
+  for (int k = 0; k < steps && !z.is_empty(); ++k) {
+    const int op = rng.uniform_int(0, 3);
+    if (dim > 1 && op == 0) {
+      z.up();
+    } else if (dim > 1 && op == 1) {
+      z.reset(rng.uniform_int(1, dim - 1), rng.uniform_int(0, 3));
+    } else {
+      const int i = rng.uniform_int(0, dim - 1);
+      const int j = rng.uniform_int(0, dim - 1);
+      if (i == j) continue;
+      const int value = rng.bernoulli(0.2) ? rng.uniform_int(-400, 400)
+                                           : rng.uniform_int(-4, 4);
+      z.constrain(i, j, dbm::make_bound(value, rng.bernoulli(0.5)));
+    }
+  }
+  return z;
+}
+
+TEST(ZoneSignature, RejectMatchesBytewiseDefinition) {
+  // signature_rejects works on packed words; pin it against the definition
+  // (some byte below and some byte above), with bytes drawn mostly from the
+  // edges of the high-bit split where a packed compare could go wrong.
+  common::Rng rng(7);
+  const int edges[] = {0, 1, 0x7e, 0x7f, 0x80, 0x81, 0xfe, 0xff};
+  std::size_t rejects = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    core::Signature a{}, b{};
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      a[i] = static_cast<std::uint8_t>(rng.bernoulli(0.7)
+                                           ? edges[rng.uniform_int(0, 7)]
+                                           : rng.uniform_int(0, 255));
+      // Mostly equal bytes, so that single-byte differences get tested.
+      b[i] = rng.bernoulli(0.8) ? a[i]
+                                : static_cast<std::uint8_t>(
+                                      edges[rng.uniform_int(0, 7)]);
+    }
+    bool lt = false, gt = false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      lt |= a[i] < b[i];
+      gt |= a[i] > b[i];
+    }
+    ASSERT_EQ(core::signature_rejects(a, b), lt && gt) << "trial " << trial;
+    rejects += lt && gt ? 1 : 0;
+  }
+  EXPECT_GT(rejects, 1000u);
+}
+
+TEST(ZoneSignature, RejectImpliesIncomparable) {
+  using Traits = core::StateTraits<ta::SymState>;
+  common::Rng rng(2012);
+  std::size_t rejects = 0, empties = 0;
+  for (int dim = 1; dim <= 10; ++dim) {
+    std::vector<ta::SymState> zones(60);
+    std::vector<core::Signature> sigs;
+    for (ta::SymState& s : zones) {
+      s.zone = random_zone(rng, dim);
+      sigs.push_back(Traits::signature(s));
+      if (s.zone.is_empty()) {
+        ++empties;
+        EXPECT_EQ(sigs.back(), core::Signature{});
+      }
+    }
+    for (std::size_t a = 0; a < zones.size(); ++a) {
+      for (std::size_t b = 0; b < zones.size(); ++b) {
+        if (!core::signature_rejects(sigs[a], sigs[b])) continue;
+        ++rejects;
+        EXPECT_EQ(zones[a].zone.relation(zones[b].zone),
+                  dbm::Relation::kDifferent)
+            << "dim " << dim << "\n" << zones[a].zone.to_string() << "\n"
+            << zones[b].zone.to_string();
+        EXPECT_EQ(zones[b].zone.relation(zones[a].zone),
+                  dbm::Relation::kDifferent);
+        EXPECT_EQ(Traits::compare(zones[a], zones[b]), core::Subsumes::kNone);
+      }
+    }
+  }
+  EXPECT_GT(rejects, 1000u);
+  EXPECT_GT(empties, 10u);
+}
+
+/// Runs one BFS over `sys`, interning every successor into a signed store
+/// and a hook-less one: each intern must return the same result, and the
+/// two stores must end with the same journal and occupancy.
+void expect_signed_scan_matches_hookless(const ta::System& sys,
+                                         bool tombstone) {
+  ta::SymbolicSemantics sem(sys);
+  SymStore signed_store({.inclusion = true, .tombstone_covered = tombstone});
+  HooklessStore plain({.inclusion = true, .tombstone_covered = tombstone});
+  Worklist waiting(SearchOrder::kBfs);
+  std::size_t mismatches = 0;
+  auto add = [&](ta::SymState s) {
+    const auto want = plain.intern(s);
+    const auto got = signed_store.intern(std::move(s));
+    if (got.id != want.id || got.inserted != want.inserted) ++mismatches;
+    if (want.inserted) waiting.push(want.id);
+  };
+  add(sem.initial());
+  while (!waiting.empty()) {
+    const std::int32_t id = waiting.pop().id;
+    if (plain.covered(id)) continue;
+    for (auto& tr : sem.successors(plain.state(id))) add(std::move(tr.state));
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(signed_store.covered_journal(), plain.covered_journal());
+
+  const core::StoreMetrics s = signed_store.metrics();
+  const core::StoreMetrics p = plain.metrics();
+  EXPECT_EQ(s.stored, p.stored);
+  EXPECT_EQ(s.covered, p.covered);
+  EXPECT_EQ(s.slots, p.slots);
+  EXPECT_EQ(s.occupied, p.occupied);
+  EXPECT_EQ(s.max_chain, p.max_chain);
+  EXPECT_EQ(s.pool.records, p.pool.records);
+  EXPECT_EQ(s.pool.lookups, p.pool.lookups);
+  EXPECT_EQ(s.pool.hits, p.pool.hits);
+  EXPECT_EQ(s.pool.payload_words, p.pool.payload_words);
+  EXPECT_EQ(s.pool.resident_bytes, p.pool.resident_bytes);
+  // The signature column is the only extra memory; a reject only ever
+  // replaces a partition test and, within the partition, a zone compare.
+  EXPECT_EQ(s.memory_bytes,
+            p.memory_bytes + s.stored * sizeof(core::Signature));
+  EXPECT_EQ(p.signature_rejects, 0u);
+  EXPECT_LE(s.zone_compares, p.zone_compares);
+  EXPECT_GE(s.zone_compares + s.signature_rejects, p.zone_compares);
+}
+
+TEST(ZoneSignature, StoreMatchesHooklessStoreOnTrainGate) {
+  for (int n : {3, 4}) {
+    SCOPED_TRACE("train-gate N=" + std::to_string(n));
+    const auto tg = models::make_train_gate(n);
+    expect_signed_scan_matches_hookless(tg.system, /*tombstone=*/true);
+    expect_signed_scan_matches_hookless(tg.system, /*tombstone=*/false);
+  }
+}
+
+TEST(ZoneSignature, StoreMatchesHooklessStoreOnRandomNetworks) {
+  for (int seed = 0; seed < 30; ++seed) {
+    SCOPED_TRACE("random network " + std::to_string(seed));
+    // The seeds and sizes of SymbolicVsDigital (test_cross_engine.cpp).
+    common::Rng rng(static_cast<std::uint64_t>(seed) * 997 + 13);
+    expect_signed_scan_matches_hookless(testing_models::random_ta(rng, 2),
+                                        /*tombstone=*/true);
+  }
+}
+
 TEST(Worklist, BfsIsFifo) {
   Worklist w(SearchOrder::kBfs);
   EXPECT_TRUE(w.empty());
@@ -314,6 +479,32 @@ TEST(ExplorationCore, StatsObserverCollectsThroughputAndOccupancy) {
   EXPECT_GT(obs.elapsed_seconds(), 0.0);
   EXPECT_GT(obs.states_per_second(), 0.0);
   EXPECT_NE(obs.summary().find("states"), std::string::npos);
+}
+
+TEST(ExplorationCore, StoreWorkCountersArePinnedOnTrainGate) {
+  // Exact work counters of check_invariant's store on train-gate N=4: the
+  // zone compares the scan ran and the entries its signatures skipped.
+  const auto tg = models::make_train_gate(4);
+  std::vector<int> cross;
+  for (int t : tg.trains) {
+    cross.push_back(tg.system.process(t).location_index("Cross"));
+  }
+  auto mutex = [&tg, &cross](const ta::SymState& s) {
+    int crossing = 0;
+    for (std::size_t i = 0; i < cross.size(); ++i) {
+      if (s.locs[static_cast<std::size_t>(tg.trains[i])] == cross[i]) {
+        ++crossing;
+      }
+    }
+    return crossing <= 1;
+  };
+  core::StatsObserver obs;
+  mc::ReachOptions opts;
+  opts.observer = &obs;
+  const auto r = mc::check_invariant(tg.system, mutex, opts);
+  ASSERT_EQ(r.verdict, common::Verdict::kHolds);
+  EXPECT_EQ(obs.store_metrics().zone_compares, 5022u);
+  EXPECT_EQ(obs.store_metrics().signature_rejects, 37502u);
 }
 
 TEST(ExplorationCore, TruncationIsUniformAcrossEngines) {
