@@ -1,6 +1,7 @@
 // Engine micro-benchmarks (google-benchmark): throughput of the primitives
 // the experiments rest on — DBM algebra, symbolic successor computation,
-// digital MDP construction, value iteration, BIP interaction evaluation.
+// digital MDP construction, MDP precomputation and value iteration, BIP
+// interaction evaluation.
 #include <benchmark/benchmark.h>
 
 #include "bip/engine.h"
@@ -106,6 +107,28 @@ void BM_ValueIteration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ValueIteration)->Unit(benchmark::kMillisecond);
+
+// The qualitative precomputation in front of the Dmax value iteration:
+// prob0_max + prob1_max over one shared predecessor index, on the BRP MDP
+// with a global clock (62 448 states).
+void BM_GraphPrecomputation(benchmark::State& state) {
+  models::BrpParams params;
+  params.global_clock = true;
+  auto brp = models::make_brp(params);
+  auto dm = pta::build_digital_mdp(brp.system);
+  const int gt = brp.clk_gt;
+  auto goal = dm.states_where([&brp, gt](const ta::DigitalState& s) {
+    return brp.is_success(s.locs) && s.clocks[static_cast<std::size_t>(gt)] <= 64;
+  });
+  for (auto _ : state) {
+    const mdp::PredecessorIndex pred(dm.mdp);
+    auto zero = mdp::prob0_max(dm.mdp, goal, pred);
+    auto one = mdp::prob1_max(dm.mdp, goal, pred);
+    benchmark::DoNotOptimize(zero);
+    benchmark::DoNotOptimize(one);
+  }
+}
+BENCHMARK(BM_GraphPrecomputation)->Unit(benchmark::kMillisecond);
 
 void BM_BipEnabledInteractions(benchmark::State& state) {
   auto d = models::make_dala({.with_controller = true});

@@ -16,12 +16,8 @@ RewardResult expected_reward_to_goal(const Mdp& m, const StateSet& goal,
         "mdp.expected_reward_to_goal",
         "expected reward requires a frozen MDP (call Mdp::freeze() first)"));
   }
+  check_goal_size("mdp.expected_reward_to_goal", m, goal);
   const std::int32_t n = m.num_states();
-  if (static_cast<std::int32_t>(goal.size()) != n) {
-    throw std::invalid_argument(quanta::context(
-        "mdp.expected_reward_to_goal", "goal set has ", goal.size(),
-        " entries but the MDP has ", n, " states"));
-  }
 
   // Divergence analysis: the expected total reward is finite only where the
   // goal is reached almost surely (under every scheduler for kMax, under the

@@ -11,13 +11,17 @@ namespace quanta::mdp {
 
 void Mdp::add_choice(std::int32_t state, std::vector<Branch> branches,
                      double reward) {
-  if (frozen_) throw std::logic_error("Mdp::add_choice after freeze()");
+  if (frozen_) {
+    throw std::logic_error(quanta::context(
+        "mdp", "Mdp::add_choice after freeze(): the MDP is immutable once frozen"));
+  }
   if (state < 0) {
     throw std::invalid_argument(quanta::context(
         "mdp", "Mdp::add_choice: state must be non-negative, got ", state));
   }
   if (branches.empty()) {
-    throw std::invalid_argument("Mdp::add_choice: empty distribution");
+    throw std::invalid_argument(quanta::context(
+        "mdp", "Mdp::add_choice: empty distribution for state ", state));
   }
   num_states_ = std::max(num_states_, state + 1);
   for (const Branch& b : branches) {
@@ -76,8 +80,9 @@ void Mdp::freeze() {
       branches_.push_back(b);
     }
     if (std::fabs(sum - 1.0) > 1e-9) {
-      throw std::invalid_argument("Mdp::freeze: distribution sums to " +
-                                  std::to_string(sum));
+      throw std::invalid_argument(quanta::context(
+          "mdp", "Mdp::freeze: a choice of state ", c.state,
+          " has a distribution summing to ", sum, " (expected 1)"));
     }
   }
   pending_.clear();

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
 #include "ckpt/io.h"
 #include "common/error.h"
@@ -78,15 +80,15 @@ void validate_vi_args(const char* subsystem, double epsilon,
   }
 }
 
-void check_goal_size(const char* subsystem, const Mdp& m,
-                     const StateSet& goal) {
-  if (static_cast<std::int32_t>(goal.size()) != m.num_states()) {
-    throw std::invalid_argument(
-        quanta::context(subsystem, "goal set has ", goal.size(),
-                        " entries but the MDP has ", m.num_states(),
-                        " states (build the set with states_where / resize "
-                        "to num_states)"));
+/// The states where P_obj(F goal) is exactly 0 and exactly 1, computed over
+/// one transient predecessor index.
+std::pair<StateSet, StateSet> zero_one_sets(const Mdp& m, const StateSet& goal,
+                                            Objective obj) {
+  const PredecessorIndex pred(m);
+  if (obj == Objective::kMax) {
+    return {prob0_max(m, goal, pred), prob1_max(m, goal, pred)};
   }
+  return {prob0_min(m, goal, pred), prob1_min(m, goal, pred)};
 }
 
 }  // namespace
@@ -108,10 +110,7 @@ ViResult reachability_probability(const Mdp& m, const StateSet& goal,
 
   StateSet zero(static_cast<std::size_t>(n), false);
   StateSet one = goal;
-  if (opts.use_precomputation) {
-    zero = (obj == Objective::kMax) ? prob0_max(m, goal) : prob0_min(m, goal);
-    one = (obj == Objective::kMax) ? prob1_max(m, goal) : prob1_min(m, goal);
-  }
+  if (opts.use_precomputation) std::tie(zero, one) = zero_one_sets(m, goal, obj);
 
   ViResult result;
   result.values.assign(static_cast<std::size_t>(n), 0.0);
@@ -229,8 +228,7 @@ IntervalResult interval_iteration(const Mdp& m, const StateSet& goal,
   }
   check_goal_size("mdp.interval_iteration", m, goal);
   const std::int32_t n = m.num_states();
-  StateSet zero = (obj == Objective::kMax) ? prob0_max(m, goal) : prob0_min(m, goal);
-  StateSet one = (obj == Objective::kMax) ? prob1_max(m, goal) : prob1_min(m, goal);
+  const auto [zero, one] = zero_one_sets(m, goal, obj);
 
   IntervalResult result;
   result.lower.assign(static_cast<std::size_t>(n), 0.0);

@@ -6,6 +6,7 @@
 #include "mc/query.h"
 #include "mdp/expected_reward.h"
 #include "models/train_gate.h"
+#include "random_mdp.h"
 #include "smc/trace.h"
 
 namespace {
@@ -180,28 +181,7 @@ TEST(Traces, SomethingActuallyHappens) {
 
 // ---- Randomized MDP properties ------------------------------------------------
 
-mdp::Mdp random_mdp(common::Rng& rng, int states) {
-  mdp::Mdp m;
-  for (int s = 0; s < states; ++s) {
-    int n_choices = rng.uniform_int(1, 3);
-    for (int c = 0; c < n_choices; ++c) {
-      int n_branches = rng.uniform_int(1, 3);
-      std::vector<mdp::Branch> branches;
-      double remaining = 1.0;
-      for (int b = 0; b < n_branches; ++b) {
-        double p = (b == n_branches - 1)
-                       ? remaining
-                       : remaining * (0.2 + 0.6 * rng.uniform01());
-        remaining -= (b == n_branches - 1) ? remaining : p;
-        branches.push_back(
-            mdp::Branch{rng.uniform_int(0, states - 1), p});
-      }
-      m.add_choice(s, std::move(branches), rng.uniform01());
-    }
-  }
-  m.freeze();
-  return m;
-}
+using testing_models::random_mdp;
 
 class MdpProperty : public ::testing::TestWithParam<int> {};
 
