@@ -1,8 +1,16 @@
 // Engine micro-benchmarks (google-benchmark): throughput of the primitives
 // the experiments rest on — DBM algebra, symbolic successor computation,
-// digital MDP construction, MDP precomputation and value iteration, BIP
-// interaction evaluation.
+// digital MDP construction, MDP precomputation and value iteration, the
+// modes and SMC simulators, BIP interaction evaluation.
+//
+// A counting global operator new, local to this binary, backs the
+// allocs_per_* user counters; they are exact and repeat from run to run.
 #include <benchmark/benchmark.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 
 #include "bip/engine.h"
 #include "dbm/federation.h"
@@ -12,10 +20,44 @@
 #include "models/dala.h"
 #include "models/train_gate.h"
 #include "pta/digital_clocks.h"
+#include "smc/estimate.h"
+#include "sta/des.h"
+
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+// All out of line, so the compiler never pairs malloc() or free() with
+// operator new or delete across an inlined call (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 using namespace quanta;
 
 namespace {
+
+std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
+
+/// Heap allocations per unit of work over the timed loop.
+benchmark::Counter per(std::uint64_t allocs_in_loop, std::uint64_t units) {
+  return benchmark::Counter(units == 0 ? 0.0
+                                       : static_cast<double>(allocs_in_loop) /
+                                             static_cast<double>(units));
+}
 
 void BM_DbmClose(benchmark::State& state) {
   const int dim = static_cast<int>(state.range(0));
@@ -67,10 +109,14 @@ void BM_SymbolicSuccessors(benchmark::State& state) {
   // Warm one step in so there is queue content.
   auto succs = sem.successors(init);
   const ta::SymState& s = succs.front().state;
+  std::uint64_t produced = 0;
+  const std::uint64_t before = allocs();
   for (auto _ : state) {
     auto next = sem.successors(s);
+    produced += next.size();
     benchmark::DoNotOptimize(next);
   }
+  state.counters["allocs_per_successor"] = per(allocs() - before, produced);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SymbolicSuccessors)->Arg(2)->Arg(4)->Arg(6);
@@ -95,6 +141,54 @@ void BM_DigitalMdpBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DigitalMdpBuild)->Unit(benchmark::kMillisecond);
+
+// Table I's modes column: 1 000 ALAP runs of the BRP discrete-event
+// simulation per iteration, from a fresh simulator with a fixed seed.
+void BM_DesBrpRuns(benchmark::State& state) {
+  constexpr std::size_t kRuns = 1000;
+  auto brp = models::make_brp();
+  sta::DesOptions opts;
+  opts.policy = sta::SchedulerPolicy::kAlap;
+  const sta::DesPredicate terminal = [&brp](const ta::ConcreteState& s) {
+    return brp.is_done(s.locs);
+  };
+  std::uint64_t runs = 0;
+  const std::uint64_t before = allocs();
+  for (auto _ : state) {
+    sta::DesSimulator sim(brp.system, 7, opts);
+    for (std::size_t r = 0; r < kRuns; ++r) {
+      benchmark::DoNotOptimize(sim.run(terminal));
+    }
+    runs += kRuns;
+  }
+  state.counters["allocs_per_run"] = per(allocs() - before, runs);
+  state.SetItemsProcessed(static_cast<std::int64_t>(runs));
+}
+BENCHMARK(BM_DesBrpRuns)->Unit(benchmark::kMillisecond);
+
+// The UPPAAL-SMC estimate Pr[<=30](<> Train(0).Cross) on train-gate N=3,
+// 2 000 runs per iteration on a one-worker executor.
+void BM_SmcTrainGateRuns(benchmark::State& state) {
+  constexpr std::size_t kRuns = 2000;
+  auto tg = models::make_train_gate(3);
+  const int p = tg.trains[0];
+  smc::TimeBoundedReach cross;
+  cross.time_bound = 30.0;
+  cross.goal = common::loc_index_pred<ta::ConcreteState>(
+      p, tg.system.process(p).location_index("Cross"));
+  exec::Executor ex(1);
+  std::uint64_t runs = 0;
+  const std::uint64_t before = allocs();
+  for (auto _ : state) {
+    auto est = smc::estimate_probability_runs(tg.system, cross, kRuns, 0.05,
+                                              11, ex);
+    benchmark::DoNotOptimize(est);
+    runs += kRuns;
+  }
+  state.counters["allocs_per_run"] = per(allocs() - before, runs);
+  state.SetItemsProcessed(static_cast<std::int64_t>(runs));
+}
+BENCHMARK(BM_SmcTrainGateRuns)->Unit(benchmark::kMillisecond);
 
 void BM_ValueIteration(benchmark::State& state) {
   auto brp = models::make_brp();

@@ -35,21 +35,22 @@ int main() {
                     : action->move.describe(tg.system).c_str());
   };
   show(s, "start");
-  // Environment: train 0 approaches.
-  for (ta::Move& m : sem.enabled_moves(s)) {
-    if (m.describe(tg.system).find("Train(0)") != std::string::npos) {
-      s = sem.apply(s, m);
-      break;
+  // Environment: one train approaches (the first move that mentions it).
+  ta::MoveList moves;
+  auto approach = [&](const char* train) {
+    sem.enabled_moves(s, moves);
+    for (std::size_t i = 0; i < moves.size(); ++i) {
+      if (ta::describe_move(tg.system, moves[i]).find(train) !=
+          std::string::npos) {
+        s = sem.apply(s, moves[i]);
+        return;
+      }
     }
-  }
+  };
+  approach("Train(0)");
   show(s, "appr[0]!");
   // Environment: train 1 approaches as well — now the controller must react.
-  for (ta::Move& m : sem.enabled_moves(s)) {
-    if (m.describe(tg.system).find("Train(1)") != std::string::npos) {
-      s = sem.apply(s, m);
-      break;
-    }
-  }
+  approach("Train(1)");
   show(s, "appr[1]! (two trains!)");
 
   // ---- Independent closed-loop verification --------------------------------

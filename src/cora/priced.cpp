@@ -42,9 +42,9 @@ std::int64_t PriceModel::delay_rate(const std::vector<int>& locs) const {
   return total;
 }
 
-std::int64_t PriceModel::move_cost(const ta::Move& m) const {
+std::int64_t PriceModel::move_cost(ta::MoveSpan m) const {
   std::int64_t total = 0;
-  for (const auto& [p, e] : m.participants) {
+  for (const auto& [p, e] : m) {
     total += edge_costs_[static_cast<std::size_t>(p)][static_cast<std::size_t>(e)];
   }
   return total;
@@ -324,6 +324,7 @@ class PricedSearch {
       hook_ptr = &hook;
     }
     std::int32_t goal_node = -1;
+    ta::MoveList moves;
     result.stats = core::explore(
         store_, queue_, opts_.limits,
         [&](const core::Worklist::Entry& e) {
@@ -341,11 +342,14 @@ class PricedSearch {
         [&](const core::Worklist::Entry& e) -> std::size_t {
           const ta::DigitalState state = store_.state(e.id);
           std::size_t taken = 0;
-          for (ta::Move& m : sem_.enabled_moves(state)) {
+          sem_.enabled_moves(state, moves);
+          for (std::size_t i = 0; i < moves.size(); ++i) {
             ++taken;
+            const ta::MoveSpan m = moves[i];
             std::int64_t c = e.key + prices_.move_cost(m);
-            std::string label =
-                opts_.record_trace ? m.describe(sem_.system()) : std::string{};
+            std::string label = opts_.record_trace
+                                    ? ta::describe_move(sem_.system(), m)
+                                    : std::string{};
             relax(intern(sem_.apply(state, m)), c, e.id, std::move(label));
           }
           if (sem_.can_delay(state)) {

@@ -30,8 +30,10 @@ class Watchdog {
  public:
   /// Starts watching `budget` (deadline + external cancel + forced-deadline
   /// fault injection). When the budget trips, fires `target` and records the
-  /// reason. An inactive budget starts no thread at all, so the wrapper
-  /// costs nothing on the ungoverned path.
+  /// reason. The budget is polled once before the constructor returns: one
+  /// that has already tripped fires `target` there, deterministically, and
+  /// starts no thread. An inactive budget starts no thread at all either, so
+  /// the wrapper costs nothing on the ungoverned path.
   Watchdog(const common::Budget& budget, common::CancelToken& target);
 
   /// Stops the polling thread and joins it. Does NOT reset `target`.
@@ -47,6 +49,9 @@ class Watchdog {
 
  private:
   void run();
+  /// One poll; on a trip records the reason, fires the target and returns
+  /// true.
+  bool fire_if_tripped();
 
   const common::Budget& budget_;
   common::CancelToken& target_;

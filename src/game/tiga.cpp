@@ -9,8 +9,8 @@ namespace quanta::game {
 
 namespace {
 
-bool move_controllable(const ta::System& sys, const ta::Move& m) {
-  for (const auto& [p, e] : m.participants) {
+bool move_controllable(const ta::System& sys, ta::MoveSpan m) {
+  for (const auto& [p, e] : m) {
     if (!sys.process(p).edges.at(static_cast<std::size_t>(e)).controllable) {
       return false;
     }
@@ -335,6 +335,7 @@ void TimedGame::build_graph(bool resumed, std::uint32_t objective,
   };
 
   if (!resumed) intern(sem_.initial());
+  ta::MoveList moves;
   core::CheckpointHook hook;
   const core::CheckpointHook* hook_ptr = nullptr;
   const std::uint64_t interval = checkpoint_.effective_interval();
@@ -361,11 +362,13 @@ void TimedGame::build_graph(bool resumed, std::uint32_t objective,
         const ta::DigitalState state = store_.state(e.id);
         Node node;
         std::size_t taken = 0;
-        for (ta::Move& m : sem_.enabled_moves(state)) {
+        sem_.enabled_moves(state, moves);
+        for (std::size_t i = 0; i < moves.size(); ++i) {
           ++taken;
+          const ta::MoveSpan m = moves[i];
           std::int32_t to = intern(sem_.apply(state, m));
           if (move_controllable(sem_.system(), m)) {
-            node.ctrl.emplace_back(to, std::move(m));
+            node.ctrl.emplace_back(to, moves.move(i));
           } else {
             node.unctrl.push_back(to);
           }
@@ -647,6 +650,7 @@ bool closed_loop_explore(
   };
 
   intern(sem.initial());
+  ta::MoveList moves;
   bool ok = true;
   core::explore(
       store, work, core::SearchLimits{},
@@ -663,13 +667,14 @@ bool closed_loop_explore(
         auto action = strategy.action(state);
         std::vector<std::int32_t> next;
         // Environment may always act.
-        for (ta::Move& m : sem.enabled_moves(state)) {
-          if (!move_controllable(sys, m)) {
-            next.push_back(intern(sem.apply(state, m)));
+        sem.enabled_moves(state, moves);
+        for (std::size_t i = 0; i < moves.size(); ++i) {
+          if (!move_controllable(sys, moves[i])) {
+            next.push_back(intern(sem.apply(state, moves[i])));
           }
         }
         if (action && action->kind == ActionKind::kMove) {
-          next.push_back(intern(sem.apply(state, action->move)));
+          next.push_back(intern(sem.apply(state, action->move.participants)));
         } else {
           // Strategy waits (or state is outside the winning region): time may
           // pass if permitted.

@@ -17,43 +17,39 @@ mdp::StateSet DigitalMdp::states_where(
 namespace {
 
 /// Enumerates the product distribution over the participants' branch sets.
-/// Calls `emit(branch_choice, probability)` once per combination.
-void enumerate_branches(
-    const ta::System& sys, const ta::Move& move,
-    const std::function<void(const std::vector<int>&, double)>& emit) {
-  const std::size_t k = move.participants.size();
-  std::vector<const ta::Edge*> edges(k);
-  std::vector<double> weight_sum(k, 1.0);
-  std::vector<int> counts(k, 1);
-  for (std::size_t i = 0; i < k; ++i) {
-    const auto& [p, e] = move.participants[i];
-    edges[i] = &sys.process(p).edges.at(static_cast<std::size_t>(e));
-    if (edges[i]->probabilistic()) {
-      counts[i] = static_cast<int>(edges[i]->branches.size());
-      double sum = 0.0;
-      for (const auto& b : edges[i]->branches) sum += b.weight;
-      weight_sum[i] = sum;
-    }
-  }
-  std::vector<int> choice(k, -1);
-  // Odometer over the branch indices (Dirac edges contribute one slot, -1).
-  std::vector<int> counter(k, 0);
+/// Calls `emit(branch_choice, probability)` once per combination, in
+/// odometer order (participant 0 fastest; a Dirac edge contributes the one
+/// slot -1). `choice` and `counter` are caller-owned scratch buffers.
+template <class Emit>
+void enumerate_branches(const ta::System& sys, ta::MoveSpan move,
+                        std::vector<int>& choice, std::vector<int>& counter,
+                        Emit&& emit) {
+  const std::size_t k = move.size();
+  auto edge_of = [&sys, move](std::size_t i) -> const ta::Edge& {
+    const auto& [p, e] = move[i];
+    return sys.process(p).edges.at(static_cast<std::size_t>(e));
+  };
+  choice.assign(k, -1);
+  counter.assign(k, 0);
   for (;;) {
     double prob = 1.0;
     for (std::size_t i = 0; i < k; ++i) {
-      if (edges[i]->probabilistic()) {
-        choice[i] = counter[i];
-        prob *= edges[i]->branches[static_cast<std::size_t>(counter[i])].weight /
-                weight_sum[i];
-      } else {
-        choice[i] = -1;
-      }
+      const ta::Edge& edge = edge_of(i);
+      if (!edge.probabilistic()) continue;
+      double weight_sum = 0.0;
+      for (const auto& b : edge.branches) weight_sum += b.weight;
+      choice[i] = counter[i];
+      prob *= edge.branches[static_cast<std::size_t>(counter[i])].weight /
+              weight_sum;
     }
     emit(choice, prob);
     // Advance the odometer.
     std::size_t pos = 0;
     while (pos < k) {
-      if (++counter[pos] < counts[pos]) break;
+      const ta::Edge& edge = edge_of(pos);
+      const int count =
+          edge.probabilistic() ? static_cast<int>(edge.branches.size()) : 1;
+      if (++counter[pos] < count) break;
       counter[pos] = 0;
       ++pos;
     }
@@ -83,6 +79,11 @@ DigitalMdp build_digital_mdp_impl(const ta::System& sys,
   std::int32_t init = intern(sem.initial());
   out.mdp.set_initial(init);
 
+  // One move list and one pair of odometer buffers for the whole build.
+  ta::MoveList moves;
+  std::vector<int> choice;
+  std::vector<int> counter;
+
   core::SearchStats stats = core::explore(
       store, work, opts.limits,
       [](const core::Worklist::Entry&) { return core::Visit::kContinue; },
@@ -90,14 +91,17 @@ DigitalMdp build_digital_mdp_impl(const ta::System& sys,
         const ta::DigitalState state = store.state(e.id);
         std::size_t taken = 0;
 
-        for (const ta::Move& move : sem.enabled_moves(state)) {
+        sem.enabled_moves(state, moves);
+        for (std::size_t i = 0; i < moves.size(); ++i) {
           ++taken;
+          const ta::MoveSpan move = moves[i];
           std::vector<mdp::Branch> branches;
-          enumerate_branches(sys, move,
-                             [&](const std::vector<int>& choice, double p) {
-                               ta::DigitalState next = sem.apply(state, move, choice);
-                               branches.push_back(mdp::Branch{intern(std::move(next)), p});
-                             });
+          enumerate_branches(
+              sys, move, choice, counter,
+              [&](const std::vector<int>& branch_choice, double p) {
+                ta::DigitalState next = sem.apply(state, move, branch_choice);
+                branches.push_back(mdp::Branch{intern(std::move(next)), p});
+              });
           out.mdp.add_choice(e.id, std::move(branches), /*reward=*/0.0);
         }
 

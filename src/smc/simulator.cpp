@@ -11,7 +11,6 @@ namespace quanta::smc {
 
 using ta::ConcreteState;
 using ta::Edge;
-using ta::Move;
 using ta::Process;
 using ta::SyncKind;
 
@@ -48,28 +47,26 @@ bool Simulator::fire_process(ConcreteState& s, int process) {
   const ta::System& sys = sem_.system();
   const Process& proc = sys.process(process);
 
-  // Collect this process's executable internal/output edges right now. An
-  // output is executable only if at least one receiver is available (the
-  // paper's models are input-enabled along reachable paths; see DESIGN.md).
-  struct Choice {
-    int edge = -1;
-    std::vector<Move> variants;  ///< one per receiver choice
-  };
-  std::vector<Choice> choices;
+  // Collect this process's executable internal/output edges right now, each
+  // with its variants (one per receiver choice). An output is executable
+  // only if at least one receiver is available (the paper's models are
+  // input-enabled along reachable paths; see DESIGN.md).
+  moves_.clear();
+  choice_ends_.clear();
   for (std::size_t ei = 0; ei < proc.edges.size(); ++ei) {
     const Edge& e = proc.edges[ei];
     if (e.source != s.locs[process] || e.sync == SyncKind::kReceive) continue;
     if (!sem_.guard_satisfied(e, s)) continue;
 
-    Choice c;
-    c.edge = static_cast<int>(ei);
+    const int edge = static_cast<int>(ei);
     if (e.sync == SyncKind::kNone) {
-      c.variants.push_back(Move{{{process, c.edge}}});
+      moves_.parts.emplace_back(process, edge);
+      moves_.close_move();
     } else {
       int ch = e.channel_id(s.vars);
       const bool broadcast = sys.channel(ch).broadcast;
-      Move base{{{process, c.edge}}};
       if (broadcast) {
+        moves_.parts.emplace_back(process, edge);
         for (int q = 0; q < sys.process_count(); ++q) {
           if (q == process) continue;
           const Process& qproc = sys.process(q);
@@ -78,12 +75,13 @@ bool Simulator::fire_process(ConcreteState& s, int process) {
             if (f.source != s.locs[q] || f.sync != SyncKind::kReceive) continue;
             if (f.channel_id(s.vars) != ch) continue;
             if (!sem_.guard_satisfied(f, s)) continue;
-            base.participants.emplace_back(q, static_cast<int>(fi));
+            moves_.parts.emplace_back(q, static_cast<int>(fi));
             break;
           }
         }
-        c.variants.push_back(std::move(base));
+        moves_.close_move();
       } else {
+        const std::size_t variants_before = moves_.size();
         for (int q = 0; q < sys.process_count(); ++q) {
           if (q == process) continue;
           const Process& qproc = sys.process(q);
@@ -92,47 +90,48 @@ bool Simulator::fire_process(ConcreteState& s, int process) {
             if (f.source != s.locs[q] || f.sync != SyncKind::kReceive) continue;
             if (f.channel_id(s.vars) != ch) continue;
             if (!sem_.guard_satisfied(f, s)) continue;
-            Move m = base;
-            m.participants.emplace_back(q, static_cast<int>(fi));
-            c.variants.push_back(std::move(m));
+            moves_.parts.emplace_back(process, edge);
+            moves_.parts.emplace_back(q, static_cast<int>(fi));
+            moves_.close_move();
           }
         }
-        if (c.variants.empty()) continue;  // output with no receiver: blocked
+        // Output with no receiver: blocked.
+        if (moves_.size() == variants_before) continue;
       }
     }
-    choices.push_back(std::move(c));
+    choice_ends_.push_back(static_cast<std::uint32_t>(moves_.size()));
   }
-  if (choices.empty()) return false;
+  if (choice_ends_.empty()) return false;
 
-  const Choice& chosen =
-      choices[static_cast<std::size_t>(rng_.uniform_int(0, static_cast<int>(choices.size()) - 1))];
-  const Move& m = chosen.variants[static_cast<std::size_t>(
-      rng_.uniform_int(0, static_cast<int>(chosen.variants.size()) - 1))];
-  execute_sampled(s, m);
+  const auto c = static_cast<std::size_t>(
+      rng_.uniform_int(0, static_cast<int>(choice_ends_.size()) - 1));
+  const std::uint32_t first = c == 0 ? 0 : choice_ends_[c - 1];
+  const auto variants = static_cast<int>(choice_ends_[c] - first);
+  execute_sampled(s, moves_[first + static_cast<std::size_t>(
+                                        rng_.uniform_int(0, variants - 1))]);
   return true;
 }
 
-void Simulator::execute_sampled(ConcreteState& s, const Move& m) {
-  std::vector<int> branch_choice(m.participants.size(), -1);
-  for (std::size_t k = 0; k < m.participants.size(); ++k) {
-    const auto& [p, e] = m.participants[k];
+void Simulator::execute_sampled(ConcreteState& s, ta::MoveSpan m) {
+  branch_.assign(m.size(), -1);
+  for (std::size_t k = 0; k < m.size(); ++k) {
+    const auto& [p, e] = m[k];
     const Edge& edge =
         sem_.system().process(p).edges.at(static_cast<std::size_t>(e));
     if (!edge.probabilistic()) continue;
-    std::vector<double> weights;
-    weights.reserve(edge.branches.size());
-    for (const auto& b : edge.branches) weights.push_back(b.weight);
-    branch_choice[k] = static_cast<int>(rng_.weighted_choice(weights));
+    weights_.clear();
+    for (const auto& b : edge.branches) weights_.push_back(b.weight);
+    branch_[k] = static_cast<int>(rng_.weighted_choice(weights_));
   }
-  sem_.execute(s, m, branch_choice);
+  sem_.execute(s, m, branch_);
 }
 
 bool Simulator::fire_immediate(ConcreteState& s) {
-  auto moves = sem_.enabled_moves_now(s);
-  if (moves.empty()) return false;
-  const Move& m = moves[static_cast<std::size_t>(
-      rng_.uniform_int(0, static_cast<int>(moves.size()) - 1))];
-  execute_sampled(s, m);
+  sem_.symbolic().enabled_moves(s.locs, s.vars, moves_);
+  sem_.retain_enabled_now(s, moves_);
+  if (moves_.empty()) return false;
+  execute_sampled(s, moves_[static_cast<std::size_t>(rng_.uniform_int(
+                         0, static_cast<int>(moves_.size()) - 1))]);
   return true;
 }
 

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "common/pred.h"
 #include "common/rng.h"
@@ -77,12 +78,20 @@ class Simulator {
   bool fire_immediate(ta::ConcreteState& s);
 
   /// Executes a move, sampling probabilistic branches by weight.
-  void execute_sampled(ta::ConcreteState& s, const ta::Move& m);
+  void execute_sampled(ta::ConcreteState& s, ta::MoveSpan m);
 
   ta::ConcreteSemantics sem_;
   Options opts_;
   common::Rng rng_;
   Observer observer_;
+  // Per-step buffers, reused by every step of every run: a step allocates
+  // nothing once they have grown to the largest step's size.
+  ta::MoveList moves_;
+  /// fire_process: one entry per executable edge, the end of its variants
+  /// (one per receiver choice) in moves_.
+  std::vector<std::uint32_t> choice_ends_;
+  std::vector<int> branch_;
+  std::vector<double> weights_;
 };
 
 }  // namespace quanta::smc

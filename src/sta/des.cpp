@@ -25,15 +25,14 @@ DesSimulator::DesSimulator(const ta::System& sys, std::uint64_t seed,
                            const DesOptions& opts)
     : sem_(sys), opts_(opts), rng_(seed) {}
 
-std::vector<DesSimulator::MoveWindow> DesSimulator::move_windows(
-    const ta::ConcreteState& s) const {
+void DesSimulator::compute_windows(const ta::ConcreteState& s) {
   const double global_inv = sem_.invariant_max_delay(s);
-  std::vector<MoveWindow> windows;
-  for (ta::Move& m : sem_.symbolic().enabled_moves(s.locs, s.vars)) {
+  windows_.clear();
+  for (std::size_t i = 0; i < moves_.size(); ++i) {
     double lo = 0.0;
     double hi = global_inv;
     bool feasible = true;
-    for (const auto& [p, e] : m.participants) {
+    for (const auto& [p, e] : moves_[i]) {
       const ta::Edge& edge =
           sem_.system().process(p).edges.at(static_cast<std::size_t>(e));
       double d = sem_.min_enabling_delay(edge, s);
@@ -45,24 +44,24 @@ std::vector<DesSimulator::MoveWindow> DesSimulator::move_windows(
       hi = std::min(hi, sem_.max_enabling_delay(edge, s));
     }
     if (!feasible || lo > hi + kTimeEps) continue;
-    windows.push_back(MoveWindow{std::move(m), lo, std::min(hi, global_inv)});
+    windows_.push_back(Window{lo, std::min(hi, global_inv)});
   }
-  return windows;
 }
 
-void DesSimulator::fire(ta::ConcreteState& s, const ta::Move& m) {
-  std::vector<int> branch_choice(m.participants.size(), -1);
-  for (std::size_t k = 0; k < m.participants.size(); ++k) {
-    const auto& [p, e] = m.participants[k];
+void DesSimulator::fire_any(ta::ConcreteState& s) {
+  const ta::MoveSpan m = moves_[static_cast<std::size_t>(
+      rng_.uniform_int(0, static_cast<int>(moves_.size()) - 1))];
+  branch_.assign(m.size(), -1);
+  for (std::size_t k = 0; k < m.size(); ++k) {
+    const auto& [p, e] = m[k];
     const ta::Edge& edge =
         sem_.system().process(p).edges.at(static_cast<std::size_t>(e));
     if (!edge.probabilistic()) continue;
-    std::vector<double> weights;
-    weights.reserve(edge.branches.size());
-    for (const auto& b : edge.branches) weights.push_back(b.weight);
-    branch_choice[k] = static_cast<int>(rng_.weighted_choice(weights));
+    weights_.clear();
+    for (const auto& b : edge.branches) weights_.push_back(b.weight);
+    branch_[k] = static_cast<int>(rng_.weighted_choice(weights_));
   }
-  sem_.execute(s, m, branch_choice);
+  sem_.execute(s, m, branch_);
 }
 
 DesRun DesSimulator::run(const DesPredicate& terminal,
@@ -91,32 +90,35 @@ DesRun DesSimulator::run(const DesPredicate& terminal,
       return result;
     }
 
-    if (sem_.symbolic().delay_forbidden(s.locs, s.vars)) {
-      auto moves = sem_.enabled_moves_now(s);
-      if (moves.empty()) break;  // timelock
-      fire(s, moves[static_cast<std::size_t>(rng_.uniform_int(
-                  0, static_cast<int>(moves.size()) - 1))]);
+    // One enumeration per step. Delay changes neither locations nor
+    // variables, so after the delay the same list, filtered by clock
+    // guards, holds the moves enabled then.
+    sem_.symbolic().enabled_moves(s.locs, s.vars, moves_);
+    if (sem_.symbolic().delay_forbidden(s.locs, s.vars, moves_)) {
+      sem_.retain_enabled_now(s, moves_);
+      if (moves_.empty()) break;  // timelock
+      fire_any(s);
       continue;
     }
 
-    auto windows = move_windows(s);
-    if (windows.empty()) break;  // nothing can ever happen: time diverges
+    compute_windows(s);
+    if (windows_.empty()) break;  // nothing can ever happen: time diverges
 
     double d = 0.0;
     switch (opts_.policy) {
       case SchedulerPolicy::kAsap: {
-        d = windows.front().lo;
-        for (const auto& w : windows) d = std::min(d, w.lo);
+        d = windows_.front().lo;
+        for (const Window& w : windows_) d = std::min(d, w.lo);
         break;
       }
       case SchedulerPolicy::kAlap: {
         d = 0.0;
-        for (const auto& w : windows) d = std::max(d, w.hi);
+        for (const Window& w : windows_) d = std::max(d, w.hi);
         break;
       }
       case SchedulerPolicy::kUniformRandom: {
-        const auto& w = windows[static_cast<std::size_t>(rng_.uniform_int(
-            0, static_cast<int>(windows.size()) - 1))];
+        const Window& w = windows_[static_cast<std::size_t>(rng_.uniform_int(
+            0, static_cast<int>(windows_.size()) - 1))];
         d = rng_.uniform(w.lo, w.hi);
         break;
       }
@@ -129,10 +131,9 @@ DesRun DesSimulator::run(const DesPredicate& terminal,
     sem_.delay(s, d);
     t += d;
 
-    auto moves = sem_.enabled_moves_now(s);
-    if (moves.empty()) break;  // numeric corner: treat as stalled
-    fire(s, moves[static_cast<std::size_t>(
-                rng_.uniform_int(0, static_cast<int>(moves.size()) - 1))]);
+    sem_.retain_enabled_now(s, moves_);
+    if (moves_.empty()) break;  // numeric corner: treat as stalled
+    fire_any(s);
   }
   observe();
   result.end_time = t;

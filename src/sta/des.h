@@ -53,21 +53,30 @@ class DesSimulator {
              const std::vector<DesPredicate>& monitors = {});
 
  private:
-  struct MoveWindow {
-    ta::Move move;
+  /// Delays [lo, hi], relative to now, at which one data-level move can
+  /// fire, already clamped to the global invariant bound.
+  struct Window {
     double lo = 0.0;
     double hi = 0.0;
   };
 
-  /// Enabled-move windows [earliest, latest] relative to now, already
-  /// clamped to the global invariant bound.
-  std::vector<MoveWindow> move_windows(const ta::ConcreteState& s) const;
+  /// Fills windows_ with the windows of the moves in moves_, which holds
+  /// the data-level moves of s.
+  void compute_windows(const ta::ConcreteState& s);
 
-  void fire(ta::ConcreteState& s, const ta::Move& m);
+  /// Fires a uniformly drawn move of moves_, sampling its probabilistic
+  /// branches by weight.
+  void fire_any(ta::ConcreteState& s);
 
   ta::ConcreteSemantics sem_;
   DesOptions opts_;
   common::Rng rng_;
+  // Per-step buffers, reused by every step of every run: a step allocates
+  // nothing once they have grown to the largest step's size.
+  ta::MoveList moves_;
+  std::vector<Window> windows_;
+  std::vector<int> branch_;
+  std::vector<double> weights_;
 };
 
 /// Aggregated statistics over many DES runs (the modes column of Table I).

@@ -116,11 +116,11 @@ void ConcreteSemantics::delay(ConcreteState& s, double d) const {
   for (std::size_t i = 1; i < s.clocks.size(); ++i) s.clocks[i] += d;
 }
 
-void ConcreteSemantics::execute(ConcreteState& s, const Move& m,
+void ConcreteSemantics::execute(ConcreteState& s, MoveSpan m,
                                 std::span<const int> branch_choice) const {
   const System& sys = system();
-  for (std::size_t k = 0; k < m.participants.size(); ++k) {
-    const auto& [p, e] = m.participants[k];
+  for (std::size_t k = 0; k < m.size(); ++k) {
+    const auto& [p, e] = m[k];
     const Edge& edge = sys.process(p).edges.at(static_cast<std::size_t>(e));
     int branch = k < branch_choice.size() ? branch_choice[k] : -1;
     EdgeEffect eff = resolve_effect(edge, branch);
@@ -135,25 +135,18 @@ void ConcreteSemantics::execute(ConcreteState& s, const Move& m,
   }
 }
 
-std::vector<Move> ConcreteSemantics::enabled_moves_now(
-    const ConcreteState& s) const {
-  std::vector<Move> result;
-  for (Move& m : sym_.enabled_moves(s.locs, s.vars)) {
-    bool ok = true;
-    for (const auto& [p, e] : m.participants) {
+void ConcreteSemantics::retain_enabled_now(const ConcreteState& s,
+                                           MoveList& moves) const {
+  moves.retain([this, &s](MoveSpan m) {
+    for (const auto& [p, e] : m) {
       const Edge& edge =
           system().process(p).edges.at(static_cast<std::size_t>(e));
       for (const auto& c : edge.guard) {
-        if (!atom_satisfied(c, s.clocks)) {
-          ok = false;
-          break;
-        }
+        if (!atom_satisfied(c, s.clocks)) return false;
       }
-      if (!ok) break;
     }
-    if (ok) result.push_back(std::move(m));
-  }
-  return result;
+    return true;
+  });
 }
 
 }  // namespace quanta::ta

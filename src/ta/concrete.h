@@ -52,12 +52,14 @@ class ConcreteSemantics {
   /// Executes a discrete move (resets + data updates + location change).
   /// `branch_choice[k]` selects the probabilistic branch of participant k's
   /// edge (-1 / missing entries mean the edge is Dirac).
-  void execute(ConcreteState& s, const Move& m,
+  void execute(ConcreteState& s, MoveSpan m,
                std::span<const int> branch_choice = {}) const;
 
-  /// Moves whose data guards, committed filter and clock guards are all
-  /// satisfied right now.
-  std::vector<Move> enabled_moves_now(const ConcreteState& s) const;
+  /// Keeps the moves of `moves` whose clock guards all hold at s, in order.
+  /// With `moves` holding symbolic().enabled_moves(s.locs, s.vars, ...), the
+  /// result is the moves enabled right now (data guards, committed filter
+  /// and clock guards).
+  void retain_enabled_now(const ConcreteState& s, MoveList& moves) const;
 
   const SymbolicSemantics& symbolic() const { return sym_; }
 

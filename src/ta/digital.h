@@ -48,12 +48,14 @@ class DigitalSemantics {
   /// Unit delay with per-clock capping. Requires can_delay().
   DigitalState delay_one(const DigitalState& s) const;
 
-  /// Discrete moves enabled right now (data + clock guards + committed).
-  std::vector<Move> enabled_moves(const DigitalState& s) const;
+  /// Replaces `out` with the discrete moves enabled right now (data + clock
+  /// guards + committed): the data-level enumeration, clock-filtered in
+  /// place. See MoveList for the caller-owned reuse contract.
+  void enabled_moves(const DigitalState& s, MoveList& out) const;
 
   /// Applies a move; `branch_choice[k]` picks participant k's probabilistic
   /// branch (-1 / missing means Dirac).
-  DigitalState apply(const DigitalState& s, const Move& m,
+  DigitalState apply(const DigitalState& s, MoveSpan m,
                      std::span<const int> branch_choice = {}) const;
 
   bool invariant_ok(const DigitalState& s) const;

@@ -13,10 +13,10 @@ std::size_t SymState::discrete_hash() const {
   return seed;
 }
 
-std::string Move::describe(const System& sys) const {
+std::string describe_move(const System& sys, MoveSpan move) {
   std::ostringstream os;
-  for (std::size_t i = 0; i < participants.size(); ++i) {
-    auto [p, e] = participants[i];
+  for (std::size_t i = 0; i < move.size(); ++i) {
+    auto [p, e] = move[i];
     const Process& proc = sys.process(p);
     const Edge& edge = proc.edges.at(static_cast<std::size_t>(e));
     if (i > 0) os << " + ";
@@ -79,10 +79,18 @@ bool SymbolicSemantics::any_urgent(const std::vector<int>& locs) const {
 bool SymbolicSemantics::urgent_sync_enabled(const std::vector<int>& locs,
                                             const Valuation& vars) const {
   if (!has_urgent_channel_) return false;
+  MoveList moves;
+  enabled_moves(locs, vars, moves);
+  return urgent_sync_enabled(moves, vars);
+}
+
+bool SymbolicSemantics::urgent_sync_enabled(const MoveList& moves,
+                                            const Valuation& vars) const {
+  if (!has_urgent_channel_) return false;
   // UPPAAL restriction (validated in models): edges on urgent channels carry
   // no clock guards, so enabledness is decidable at the data level.
-  for (const Move& m : enabled_moves(locs, vars)) {
-    auto [p, e] = m.participants.front();
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    auto [p, e] = moves[i].front();
     const Edge& edge = sys_->process(p).edges.at(static_cast<std::size_t>(e));
     if (edge.sync == SyncKind::kSend || edge.sync == SyncKind::kReceive) {
       int ch = edge.channel_id(vars);
@@ -96,6 +104,13 @@ bool SymbolicSemantics::delay_forbidden(const std::vector<int>& locs,
                                         const Valuation& vars) const {
   return any_committed(locs) || any_urgent(locs) ||
          urgent_sync_enabled(locs, vars);
+}
+
+bool SymbolicSemantics::delay_forbidden(const std::vector<int>& locs,
+                                        const Valuation& vars,
+                                        const MoveList& moves) const {
+  return any_committed(locs) || any_urgent(locs) ||
+         urgent_sync_enabled(moves, vars);
 }
 
 SymState SymbolicSemantics::initial() const {
@@ -117,9 +132,10 @@ SymState SymbolicSemantics::initial() const {
   return s;
 }
 
-std::vector<Move> SymbolicSemantics::enabled_moves(const std::vector<int>& locs,
-                                                   const Valuation& vars) const {
-  std::vector<Move> moves;
+void SymbolicSemantics::enabled_moves(const std::vector<int>& locs,
+                                      const Valuation& vars,
+                                      MoveList& out) const {
+  out.clear();
   const bool committed_mode = any_committed(locs);
 
   auto data_ok = [&vars](const Edge& e) {
@@ -137,7 +153,8 @@ std::vector<Move> SymbolicSemantics::enabled_moves(const std::vector<int>& locs,
       if (edge.sync != SyncKind::kNone) continue;
       if (!data_ok(edge)) continue;
       if (committed_mode && !proc_committed(p)) continue;
-      moves.push_back(Move{{{p, e}}});
+      out.parts.emplace_back(p, e);
+      out.close_move();
     }
   }
 
@@ -162,15 +179,19 @@ std::vector<Move> SymbolicSemantics::enabled_moves(const std::vector<int>& locs,
             if (redge.channel_id(vars) != ch) continue;
             if (!data_ok(redge)) continue;
             if (committed_mode && !proc_committed(p) && !proc_committed(q)) continue;
-            moves.push_back(Move{{{p, e}, {q, f}}});
+            out.parts.emplace_back(p, e);
+            out.parts.emplace_back(q, f);
+            out.close_move();
           }
         }
       } else {
         // Broadcast: every process with an enabled receive edge participates.
         // Receivers on broadcast channels must not carry clock guards (so
         // participation is decidable at the data level); at most one enabled
-        // receive edge per process is supported.
-        Move m{{{p, e}}};
+        // receive edge per process is supported. The move is built in place
+        // and rolled back if the committed filter drops it.
+        const std::size_t mark = out.parts.size();
+        out.parts.emplace_back(p, e);
         bool receiver_committed = false;
         for (int q = 0; q < sys_->process_count(); ++q) {
           if (q == p) continue;
@@ -189,16 +210,18 @@ std::vector<Move> SymbolicSemantics::enabled_moves(const std::vector<int>& locs,
             break;
           }
           if (chosen >= 0) {
-            m.participants.emplace_back(q, chosen);
+            out.parts.emplace_back(q, chosen);
             if (proc_committed(q)) receiver_committed = true;
           }
         }
-        if (committed_mode && !proc_committed(p) && !receiver_committed) continue;
-        moves.push_back(std::move(m));
+        if (committed_mode && !proc_committed(p) && !receiver_committed) {
+          out.parts.resize(mark);
+          continue;
+        }
+        out.close_move();
       }
     }
   }
-  return moves;
 }
 
 void SymbolicSemantics::apply_edge_effect(const Edge& e, Valuation& vars,
@@ -216,15 +239,15 @@ void SymbolicSemantics::apply_edge_effect(const Edge& e, Valuation& vars,
 }
 
 std::optional<SymState> SymbolicSemantics::apply_move(const SymState& s,
-                                                      const Move& m) const {
+                                                      MoveSpan m) const {
   SymState next = s;
   // Guards are evaluated against the pre-state zone.
-  for (const auto& [p, e] : m.participants) {
+  for (const auto& [p, e] : m) {
     const Edge& edge = sys_->process(p).edges.at(static_cast<std::size_t>(e));
     if (!constrain_guard(edge, next.zone)) return std::nullopt;
   }
   // Effects: sender/internal first, then receivers, in participant order.
-  for (const auto& [p, e] : m.participants) {
+  for (const auto& [p, e] : m) {
     const Edge& edge = sys_->process(p).edges.at(static_cast<std::size_t>(e));
     next.locs[p] = edge.target;
     apply_edge_effect(edge, next.vars, next.zone);
@@ -240,10 +263,17 @@ std::optional<SymState> SymbolicSemantics::apply_move(const SymState& s,
 }
 
 std::vector<SymTransition> SymbolicSemantics::successors(const SymState& s) const {
+  // The list lives for one call, so it is reserved up front: growing it
+  // from empty would reallocate several times per call.
+  const auto procs = static_cast<std::size_t>(sys_->process_count());
+  MoveList moves;
+  moves.parts.reserve(2 * procs);
+  moves.ends.reserve(procs);
+  enabled_moves(s.locs, s.vars, moves);
   std::vector<SymTransition> result;
-  for (const Move& m : enabled_moves(s.locs, s.vars)) {
-    if (auto next = apply_move(s, m)) {
-      result.push_back(SymTransition{m, std::move(*next)});
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    if (auto next = apply_move(s, moves[i])) {
+      result.push_back(SymTransition{moves.move(i), std::move(*next)});
     }
   }
   return result;

@@ -5,8 +5,11 @@
 // a finite zone graph.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dbm/dbm.h"
@@ -27,14 +30,78 @@ struct SymState {
   }
 };
 
+/// One participant of a global move: (process index, edge index).
+using MovePart = std::pair<int, int>;
 /// A global discrete move: one internal edge, a binary sender/receiver pair,
-/// or a broadcast sender with its (possibly empty) receiver set. Each entry
-/// is (process index, edge index); the sender/internal edge comes first.
-struct Move {
-  std::vector<std::pair<int, int>> participants;
+/// or a broadcast sender with its (possibly empty) receiver set. The
+/// sender/internal edge comes first.
+using MoveSpan = std::span<const MovePart>;
 
-  std::string describe(const System& sys) const;
+/// Human-readable form of a move, e.g. "P:A->B [go] + Q:C->D".
+std::string describe_move(const System& sys, MoveSpan move);
+
+/// A move that outlives the enumeration that produced it (traces,
+/// SymTransition, strategies, checkpoints).
+struct Move {
+  std::vector<MovePart> participants;
+
+  std::string describe(const System& sys) const {
+    return describe_move(sys, participants);
+  }
 };
+
+/// The product of move enumeration: a flat list of moves. Move i's
+/// participants are parts[ends[i-1], ends[i]) (with ends[-1] read as 0), in
+/// MoveSpan order; moves appear in enumeration order.
+///
+/// The caller owns the list and passes the same one to every enumeration
+/// (one list per simulator or per state-space build). Each enumeration
+/// clears it first and then reuses its capacity, so once the vectors have
+/// grown to the largest step's size, enumerating allocates nothing. A span
+/// from operator[] points into `parts` and is valid until the list is next
+/// modified. An enumeration that throws leaves the list valid but with
+/// unspecified contents.
+struct MoveList {
+  std::vector<MovePart> parts;
+  std::vector<std::uint32_t> ends;
+
+  std::size_t size() const { return ends.size(); }
+  bool empty() const { return ends.empty(); }
+  MoveSpan operator[](std::size_t i) const {
+    const std::size_t begin = i == 0 ? 0 : ends[i - 1];
+    return {parts.data() + begin, ends[i] - begin};
+  }
+  Move move(std::size_t i) const {
+    const MoveSpan m = (*this)[i];
+    return Move{{m.begin(), m.end()}};
+  }
+
+  void clear() {
+    parts.clear();
+    ends.clear();
+  }
+  /// Ends the move made of the parts appended since the previous end.
+  void close_move() { ends.push_back(static_cast<std::uint32_t>(parts.size())); }
+  /// Keeps the moves for which keep(MoveSpan) holds, in order, in place.
+  template <class Keep>
+  void retain(Keep&& keep);
+};
+
+template <class Keep>
+void MoveList::retain(Keep&& keep) {
+  std::size_t kept_parts = 0;
+  std::size_t kept_moves = 0;
+  std::size_t begin = 0;
+  for (const std::uint32_t end : ends) {
+    if (keep(MoveSpan(parts.data() + begin, end - begin))) {
+      for (std::size_t k = begin; k < end; ++k) parts[kept_parts++] = parts[k];
+      ends[kept_moves++] = static_cast<std::uint32_t>(kept_parts);
+    }
+    begin = end;
+  }
+  parts.resize(kept_parts);
+  ends.resize(kept_moves);
+}
 
 struct SymTransition {
   Move move;
@@ -58,14 +125,16 @@ class SymbolicSemantics {
   /// All discrete successors (each already delay-closed / extrapolated).
   std::vector<SymTransition> successors(const SymState& s) const;
 
-  /// Discrete moves enabled at the data level (guards over variables,
-  /// committed-location filtering, sync matching). Zone-level enabledness is
-  /// checked when the move is applied.
-  std::vector<Move> enabled_moves(const std::vector<int>& locs,
-                                  const Valuation& vars) const;
+  /// Replaces `out` with the discrete moves enabled at the data level
+  /// (guards over variables, committed-location filtering, sync matching).
+  /// Clock guards are not checked here: the symbolic semantics checks them
+  /// when the move is applied, the concrete and digital ones filter `out`.
+  /// This is the one move enumerator of every semantics.
+  void enabled_moves(const std::vector<int>& locs, const Valuation& vars,
+                     MoveList& out) const;
 
   /// Applies a move; returns nullopt if the zone becomes empty.
-  std::optional<SymState> apply_move(const SymState& s, const Move& m) const;
+  std::optional<SymState> apply_move(const SymState& s, MoveSpan m) const;
 
   /// The conjunction of location invariants as a zone constraint applied to z.
   bool constrain_invariant(const std::vector<int>& locs, dbm::Dbm& z) const;
@@ -82,6 +151,9 @@ class SymbolicSemantics {
   /// True iff delay is forbidden in the given discrete configuration.
   bool delay_forbidden(const std::vector<int>& locs,
                        const Valuation& vars) const;
+  /// Same, with `moves` holding enabled_moves(locs, vars): no enumeration.
+  bool delay_forbidden(const std::vector<int>& locs, const Valuation& vars,
+                       const MoveList& moves) const;
 
   const std::vector<std::int32_t>& max_constants() const { return max_k_; }
 
@@ -89,6 +161,9 @@ class SymbolicSemantics {
 
  private:
   void apply_edge_effect(const Edge& e, Valuation& vars, dbm::Dbm& z) const;
+  /// urgent_sync_enabled, reading the moves off `moves`, which holds
+  /// enabled_moves(locs, vars) for the configuration's `vars`.
+  bool urgent_sync_enabled(const MoveList& moves, const Valuation& vars) const;
 
   const System* sys_;
   Options opts_;

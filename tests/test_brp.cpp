@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "pta/digital_clocks.h"
 #include "pta/properties.h"
 #include "sta/des.h"
@@ -190,6 +193,79 @@ TEST(BrpScaling, SmallerInstancesMatchAnalytic) {
           << "N=" << n << " MAX=" << max_r;
     }
   }
+}
+
+
+// Golden pins for the modes column's simulator. Each figure is a pure
+// function of the seed and the simulator's random draw sequence (one
+// uniform_int over the ordered list of enabled moves per step, one
+// weighted_choice per probabilistic participant), so any change to move
+// enumeration order, window computation or branch sampling moves them. The
+// end-time sum is compared by its IEEE-754 bit pattern, in run order.
+struct DesPin {
+  std::size_t terminated = 0;
+  std::size_t h1 = 0;  ///< runs that reached a failure (P1's event)
+  std::size_t h2 = 0;  ///< runs that failed with "don't know" (P2's event)
+  std::size_t hd = 0;  ///< runs that succeeded by time 64 (Dmax's event)
+  std::size_t ta2_violations = 0;
+  std::uint64_t end_time_sum_bits = 0;
+};
+
+DesPin brp_des_pin(sta::SchedulerPolicy policy) {
+  auto brp = models::make_brp();
+  sta::DesOptions opts;
+  opts.policy = policy;
+  sta::DesSimulator sim(brp.system, 2024, opts);
+  const std::vector<sta::DesPredicate> watch = {
+      [&brp](const ta::ConcreteState& s) { return brp.no_success(s.locs); },
+      [&brp](const ta::ConcreteState& s) { return brp.is_fail_dk(s.locs); },
+      [&brp](const ta::ConcreteState& s) { return brp.is_success(s.locs); },
+  };
+  const std::vector<sta::DesPredicate> monitors = {
+      [&brp](const ta::ConcreteState& s) { return brp.ta2_ok(s.vars); },
+  };
+  const sta::DesPredicate terminal = [&brp](const ta::ConcreteState& s) {
+    return brp.is_done(s.locs);
+  };
+  DesPin pin;
+  double end_time_sum = 0.0;
+  for (int r = 0; r < 2000; ++r) {
+    const sta::DesRun run = sim.run(terminal, watch, monitors);
+    if (run.terminated) ++pin.terminated;
+    if (run.first_hit[0] >= 0.0) ++pin.h1;
+    if (run.first_hit[1] >= 0.0) ++pin.h2;
+    if (run.first_hit[2] >= 0.0 && run.first_hit[2] <= 64.0) ++pin.hd;
+    if (!run.monitor_ok[0]) ++pin.ta2_violations;
+    end_time_sum += run.end_time;
+  }
+  pin.end_time_sum_bits = std::bit_cast<std::uint64_t>(end_time_sum);
+  return pin;
+}
+
+void expect_pin(const DesPin& got, const DesPin& want) {
+  EXPECT_EQ(got.terminated, want.terminated);
+  EXPECT_EQ(got.h1, want.h1);
+  EXPECT_EQ(got.h2, want.h2);
+  EXPECT_EQ(got.hd, want.hd);
+  EXPECT_EQ(got.ta2_violations, want.ta2_violations);
+  EXPECT_EQ(got.end_time_sum_bits, want.end_time_sum_bits)
+      << std::hex << "0x" << got.end_time_sum_bits << " = "
+      << std::bit_cast<double>(got.end_time_sum_bits);
+}
+
+TEST(BrpModes, GoldenPinAlap) {
+  expect_pin(brp_des_pin(sta::SchedulerPolicy::kAlap),
+             DesPin{2000, 0, 0, 2000, 0, 0x40f04fe000000000});
+}
+
+TEST(BrpModes, GoldenPinAsap) {
+  expect_pin(brp_des_pin(sta::SchedulerPolicy::kAsap),
+             DesPin{2000, 0, 0, 2000, 0, 0x40a5fc0000000000});
+}
+
+TEST(BrpModes, GoldenPinUniform) {
+  expect_pin(brp_des_pin(sta::SchedulerPolicy::kUniformRandom),
+             DesPin{2000, 0, 0, 2000, 0, 0x40e109cea6a9ec9d});
 }
 
 }  // namespace

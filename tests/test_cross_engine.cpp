@@ -48,6 +48,7 @@ TEST_P(SymbolicVsDigital, SameReachableLocationVectors) {
     ta::DigitalSemantics sem(sys);
     std::set<ta::DigitalState> seen;
     std::vector<ta::DigitalState> work{sem.initial()};
+    ta::MoveList moves;
     seen.insert(work.back());
     auto cmp_insert = [&](ta::DigitalState s) {
       if (seen.insert(s).second) work.push_back(std::move(s));
@@ -56,7 +57,10 @@ TEST_P(SymbolicVsDigital, SameReachableLocationVectors) {
       ta::DigitalState s = std::move(work.back());
       work.pop_back();
       digital.insert(s.locs);
-      for (const ta::Move& m : sem.enabled_moves(s)) cmp_insert(sem.apply(s, m));
+      sem.enabled_moves(s, moves);
+      for (std::size_t i = 0; i < moves.size(); ++i) {
+        cmp_insert(sem.apply(s, moves[i]));
+      }
       if (sem.can_delay(s)) cmp_insert(sem.delay_one(s));
     }
   }

@@ -518,4 +518,37 @@ TEST(ExecWatchdog, CancelledRunDoesNotPoisonTheNextRun) {
   EXPECT_EQ(clean.hits, resumed.hits);
 }
 
+// A budget that has already tripped when the watchdog is built fires the
+// target inside the constructor: no thread, no race with the caller.
+TEST(ExecWatchdog, TrippedBudgetFiresBeforeTheConstructorReturns) {
+  common::CancelToken user;
+  user.cancel();
+  common::Budget b;
+  b.with_cancel(&user);
+  common::CancelToken target;
+  exec::Watchdog dog(b, target);
+  EXPECT_TRUE(target.cancelled());
+  EXPECT_EQ(dog.fired_reason(), common::StopReason::kCancelled);
+}
+
+// Regression: a pre-cancelled budget stops a short estimate before its first
+// run, every time. When the watchdog only polled on its own thread, the
+// workers could finish all 50 runs first and report kHolds.
+TEST(ExecWatchdog, PreCancelledBudgetStopsEstimateBeforeAnyRun) {
+  auto tg = models::make_train_gate(2);
+  auto prop = train_crosses(tg, 0, 30.0);
+  exec::Executor ex(2);
+  common::CancelToken user;
+  user.cancel();
+  common::Budget b;
+  b.with_cancel(&user);
+  for (int rep = 0; rep < 200; ++rep) {
+    auto est = smc::estimate_probability_runs(tg.system, prop, 50, 0.05, 7, ex,
+                                              nullptr, b);
+    ASSERT_EQ(est.verdict, common::Verdict::kUnknown) << "repetition " << rep;
+    ASSERT_EQ(est.stop, common::StopReason::kCancelled) << "repetition " << rep;
+    ASSERT_EQ(est.completed, 0u) << "repetition " << rep;
+  }
+}
+
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/stats.h"
 #include "models/train_gate.h"
@@ -193,6 +195,69 @@ TEST(TrainGateSmc, FasterTrainsCrossSooner) {
   // Both eventually cross with high probability.
   EXPECT_GT(fast.prob.back(), 0.95);
   EXPECT_GT(slow.prob.back(), 0.80);
+}
+
+// Golden pins for the UPPAAL-SMC simulator on train-gate N=3. Each figure is
+// a pure function of the seeds and the simulator's draw sequence (delay bids
+// in process order, one uniform_int over the winner's executable edges and
+// one over its receivers, one weighted_choice per probabilistic
+// participant), so any change to move collection or firing moves them. Sums
+// of model times are compared by their IEEE-754 bit pattern, in run order.
+smc::TimeBoundedReach train_crosses_within(const models::TrainGate& tg,
+                                           int train, double bound) {
+  int p = tg.trains[static_cast<std::size_t>(train)];
+  int cross = tg.system.process(p).location_index("Cross");
+  smc::TimeBoundedReach prop;
+  prop.time_bound = bound;
+  prop.goal = [p, cross](const ta::ConcreteState& s) {
+    return s.locs[static_cast<std::size_t>(p)] == cross;
+  };
+  return prop;
+}
+
+TEST(Simulator, GoldenPinTrainGate3Steps) {
+  auto tg = models::make_train_gate(3);
+  auto prop = train_crosses_within(tg, 0, 30.0);
+  smc::Simulator sim(tg.system, 5);
+  std::size_t hits = 0;
+  std::size_t steps = 0;
+  double hit_time_sum = 0.0;
+  for (int r = 0; r < 500; ++r) {
+    const smc::RunResult res = sim.run(prop);
+    steps += res.steps;
+    if (res.satisfied) {
+      ++hits;
+      hit_time_sum += res.hit_time;
+    }
+  }
+  const auto bits = std::bit_cast<std::uint64_t>(hit_time_sum);
+  EXPECT_EQ(hits, 140u);
+  EXPECT_EQ(steps, 6371u);
+  EXPECT_EQ(bits, 0x40a5849e124d004fu) << std::hex << "0x" << bits << " = " << hit_time_sum;
+}
+
+TEST(Estimate, GoldenPinTrainGate3HitsAtOneAndFourWorkers) {
+  auto tg = models::make_train_gate(3);
+  auto prop = train_crosses_within(tg, 0, 30.0);
+  for (unsigned workers : {1u, 4u}) {
+    exec::Executor ex(workers);
+    auto est =
+        smc::estimate_probability_runs(tg.system, prop, 2000, 0.05, 11, ex);
+    EXPECT_EQ(est.completed, 2000u) << workers << " workers";
+    EXPECT_EQ(est.hits, 522u) << workers << " workers";
+  }
+}
+
+TEST(Sprt, GoldenPinTrainGate3VerdictAndRuns) {
+  auto tg = models::make_train_gate(3);
+  auto prop = train_crosses_within(tg, 2, 20.0);
+  smc::SprtOptions opts;
+  opts.indifference = 0.02;
+  exec::Executor ex(4);
+  auto res = smc::sprt_test(tg.system, prop, 0.6, opts, 13, ex);
+  EXPECT_EQ(res.verdict, smc::SprtVerdict::kRejected);
+  EXPECT_EQ(res.runs, 205u);
+  EXPECT_EQ(res.hits, 105u);
 }
 
 }  // namespace

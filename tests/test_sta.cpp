@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "pta/pta.h"
+#include "random_ta.h"
+#include "smc/simulator.h"
 #include "sta/des.h"
 #include "sta/mctau.h"
 
@@ -164,6 +169,94 @@ TEST(Des, TimeDivergenceEndsRun) {
   sta::DesSimulator sim(sys, 3, sta::DesOptions{});
   auto run = sim.run([](const ta::ConcreteState&) { return false; });
   EXPECT_FALSE(run.terminated);
+}
+
+// Golden pins on the network with a broadcast channel, committed locations
+// and an urgent channel (tests/random_ta.h): every policy of the modes
+// simulator and the UPPAAL-SMC simulator. The figures are pure functions of
+// the seed and the simulators' draw sequences; model-time sums are compared
+// by their IEEE-754 bit pattern, in run order.
+struct SimPin {
+  std::size_t ends = 0;   ///< DES: terminated runs; SMC: satisfied runs
+  std::size_t count = 0;  ///< DES: watch hits; SMC: steps
+  std::uint64_t first_sum_bits = 0;  ///< DES: sum of the watches' first hits
+  std::uint64_t time_sum_bits = 0;   ///< DES: end times; SMC: hit times
+};
+
+void expect_pin(const SimPin& got, const SimPin& want, const char* what) {
+  EXPECT_EQ(got.ends, want.ends) << what;
+  EXPECT_EQ(got.count, want.count) << what;
+  EXPECT_EQ(got.first_sum_bits, want.first_sum_bits)
+      << what << std::hex << " 0x" << got.first_sum_bits << " = "
+      << std::bit_cast<double>(got.first_sum_bits);
+  EXPECT_EQ(got.time_sum_bits, want.time_sum_bits)
+      << what << std::hex << " 0x" << got.time_sum_bits << " = "
+      << std::bit_cast<double>(got.time_sum_bits);
+}
+
+SimPin des_pin(sta::SchedulerPolicy policy) {
+  const ta::System sys = testing_models::broadcast_committed_urgent();
+  const int n = sys.vars().index_of("n");
+  const int r0 = sys.process_index("R0");
+  const int r1 = sys.process_index("R1");
+  sta::DesOptions opts;
+  opts.policy = policy;
+  sta::DesSimulator sim(sys, 31, opts);
+  SimPin pin;
+  double first_sum = 0.0;
+  double end_sum = 0.0;
+  for (int r = 0; r < 500; ++r) {
+    // Watch 0 is R1 taking the broadcast. Watch 1 is R0 handing off to K
+    // while R1 still waits, which depends on the committed-move draws.
+    const sta::DesRun run = sim.run(
+        [n](const ta::ConcreteState& s) { return s.vars[n] >= 8; },
+        {[r1](const ta::ConcreteState& s) { return s.locs[r1] == 1; },
+         [r0, r1](const ta::ConcreteState& s) {
+           return s.locs[r0] == 0 && s.locs[r1] == 1;
+         }});
+    if (run.terminated) ++pin.ends;
+    for (double hit : run.first_hit) {
+      if (hit >= 0.0) {
+        ++pin.count;
+        first_sum += hit;
+      }
+    }
+    end_sum += run.end_time;
+  }
+  pin.first_sum_bits = std::bit_cast<std::uint64_t>(first_sum);
+  pin.time_sum_bits = std::bit_cast<std::uint64_t>(end_sum);
+  return pin;
+}
+
+TEST(Des, GoldenPinBroadcastCommittedUrgent) {
+  expect_pin(des_pin(sta::SchedulerPolicy::kAlap),
+             SimPin{500, 942, 0x40b7840000000000, 0x40c3e70000000000}, "ALAP");
+  expect_pin(des_pin(sta::SchedulerPolicy::kAsap),
+             SimPin{500, 937, 0x40a27c0000000000, 0x40af400000000000}, "ASAP");
+  expect_pin(des_pin(sta::SchedulerPolicy::kUniformRandom),
+             SimPin{500, 947, 0x40b1666ce2f12e3a, 0x40bd34437af02bbd},
+             "uniform");
+}
+
+TEST(Simulator, GoldenPinBroadcastCommittedUrgent) {
+  const ta::System sys = testing_models::broadcast_committed_urgent();
+  const int n = sys.vars().index_of("n");
+  smc::TimeBoundedReach prop;
+  prop.time_bound = 15.0;
+  prop.goal = [n](const ta::ConcreteState& s) { return s.vars[n] >= 6; };
+  smc::Simulator sim(sys, 37);
+  SimPin pin;
+  double sum = 0.0;
+  for (int r = 0; r < 500; ++r) {
+    const smc::RunResult res = sim.run(prop);
+    pin.count += res.steps;
+    if (res.satisfied) {
+      ++pin.ends;
+      sum += res.hit_time;
+    }
+  }
+  pin.time_sum_bits = std::bit_cast<std::uint64_t>(sum);
+  expect_pin(pin, SimPin{500, 10670, 0x0, 0x40b5baef36f4edce}, "SMC");
 }
 
 }  // namespace

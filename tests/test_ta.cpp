@@ -4,6 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <stdexcept>
+#include <string>
+#include <unordered_set>
+
+#include "models/brp.h"
+#include "models/train_gate.h"
+#include "random_ta.h"
 #include "ta/concrete.h"
 #include "ta/digital.h"
 #include "ta/symbolic.h"
@@ -177,9 +186,14 @@ TEST(Concrete, DelayAndGuards) {
   System sys = make_pair_system();
   ConcreteSemantics sem(sys);
   ConcreteState s = sem.initial();
-  EXPECT_TRUE(sem.enabled_moves_now(s).empty());  // x>=2 not yet satisfied
+  MoveList moves;
+  sem.symbolic().enabled_moves(s.locs, s.vars, moves);
+  ASSERT_EQ(moves.size(), 1u);  // enabled at the data level
+  sem.retain_enabled_now(s, moves);
+  EXPECT_TRUE(moves.empty());  // x>=2 not yet satisfied
   sem.delay(s, 2.5);
-  auto moves = sem.enabled_moves_now(s);
+  sem.symbolic().enabled_moves(s.locs, s.vars, moves);
+  sem.retain_enabled_now(s, moves);
   ASSERT_EQ(moves.size(), 1u);
   sem.execute(s, moves[0]);
   EXPECT_EQ(s.locs[0], 1);
@@ -202,10 +216,12 @@ TEST(Digital, UnitStepsRespectInvariants) {
   System sys = make_pair_system();
   DigitalSemantics sem(sys);
   DigitalState s = sem.initial();
-  EXPECT_TRUE(sem.enabled_moves(s).empty());
+  MoveList moves;
+  sem.enabled_moves(s, moves);
+  EXPECT_TRUE(moves.empty());
   ASSERT_TRUE(sem.can_delay(s));
   s = sem.delay_one(sem.delay_one(s));  // x = 2
-  auto moves = sem.enabled_moves(s);
+  sem.enabled_moves(s, moves);
   ASSERT_EQ(moves.size(), 1u);
   DigitalState busy = sem.apply(s, moves[0]);
   EXPECT_EQ(busy.locs[0], 1);
@@ -240,6 +256,339 @@ TEST(Digital, RejectsDiagonalConstraints) {
   pb.edge(a, b, {cc_diff_le(x, y, 3)}, -1, SyncKind::kNone, {});
   sys.add_process(pb.build());
   EXPECT_THROW(DigitalSemantics{sys}, std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Oracle for the flat MoveList: the enumerator that returned one heap-owning
+// Move per enabled move, kept verbatim as the reference (only its
+// per-process edge index is rebuilt here from the System).
+
+std::vector<std::vector<std::vector<int>>> edges_from(const System& sys) {
+  std::vector<std::vector<std::vector<int>>> from(
+      static_cast<std::size_t>(sys.process_count()));
+  for (int p = 0; p < sys.process_count(); ++p) {
+    const Process& proc = sys.process(p);
+    from[p].resize(proc.locations.size());
+    for (std::size_t e = 0; e < proc.edges.size(); ++e) {
+      from[p][static_cast<std::size_t>(proc.edges[e].source)].push_back(
+          static_cast<int>(e));
+    }
+  }
+  return from;
+}
+
+std::vector<Move> oracle_enabled_moves(
+    const System& sys_, const std::vector<std::vector<std::vector<int>>>& edges_from_,
+    const SymbolicSemantics& sem, const std::vector<int>& locs,
+    const Valuation& vars) {
+  const System* sys = &sys_;
+  std::vector<Move> moves;
+  const bool committed_mode = sem.any_committed(locs);
+
+  auto data_ok = [&vars](const Edge& e) {
+    return !e.data_guard || e.data_guard(vars);
+  };
+  auto proc_committed = [sys, &locs](int p) {
+    return sys->process(p).locations.at(locs[p]).committed;
+  };
+
+  // Internal edges.
+  for (int p = 0; p < sys->process_count(); ++p) {
+    const Process& proc = sys->process(p);
+    for (int e : edges_from_[p][static_cast<std::size_t>(locs[p])]) {
+      const Edge& edge = proc.edges[static_cast<std::size_t>(e)];
+      if (edge.sync != SyncKind::kNone) continue;
+      if (!data_ok(edge)) continue;
+      if (committed_mode && !proc_committed(p)) continue;
+      moves.push_back(Move{{{p, e}}});
+    }
+  }
+
+  // Synchronisations: enumerate senders, then match receivers.
+  for (int p = 0; p < sys->process_count(); ++p) {
+    const Process& proc = sys->process(p);
+    for (int e : edges_from_[p][static_cast<std::size_t>(locs[p])]) {
+      const Edge& edge = proc.edges[static_cast<std::size_t>(e)];
+      if (edge.sync != SyncKind::kSend) continue;
+      if (!data_ok(edge)) continue;
+      int ch = edge.channel_id(vars);
+      if (ch < 0 || ch >= sys->channel_count()) continue;
+      const bool broadcast = sys->channel(ch).broadcast;
+
+      if (!broadcast) {
+        for (int q = 0; q < sys->process_count(); ++q) {
+          if (q == p) continue;
+          const Process& qproc = sys->process(q);
+          for (int f : edges_from_[q][static_cast<std::size_t>(locs[q])]) {
+            const Edge& redge = qproc.edges[static_cast<std::size_t>(f)];
+            if (redge.sync != SyncKind::kReceive) continue;
+            if (redge.channel_id(vars) != ch) continue;
+            if (!data_ok(redge)) continue;
+            if (committed_mode && !proc_committed(p) && !proc_committed(q)) continue;
+            moves.push_back(Move{{{p, e}, {q, f}}});
+          }
+        }
+      } else {
+        Move m{{{p, e}}};
+        bool receiver_committed = false;
+        for (int q = 0; q < sys->process_count(); ++q) {
+          if (q == p) continue;
+          const Process& qproc = sys->process(q);
+          int chosen = -1;
+          for (int f : edges_from_[q][static_cast<std::size_t>(locs[q])]) {
+            const Edge& redge = qproc.edges[static_cast<std::size_t>(f)];
+            if (redge.sync != SyncKind::kReceive) continue;
+            if (redge.channel_id(vars) != ch) continue;
+            if (!data_ok(redge)) continue;
+            if (!redge.guard.empty()) {
+              throw std::logic_error(
+                  "broadcast receiver edges must not have clock guards");
+            }
+            chosen = f;
+            break;
+          }
+          if (chosen >= 0) {
+            m.participants.emplace_back(q, chosen);
+            if (proc_committed(q)) receiver_committed = true;
+          }
+        }
+        if (committed_mode && !proc_committed(p) && !receiver_committed) continue;
+        moves.push_back(std::move(m));
+      }
+    }
+  }
+  return moves;
+}
+
+/// The reference moves whose clock guards all hold (`holds(constraint)`),
+/// in order: the old digital and concrete filters.
+template <class Holds>
+std::vector<Move> clock_filtered(const System& sys, std::vector<Move> moves,
+                                 Holds&& holds) {
+  std::vector<Move> result;
+  for (Move& m : moves) {
+    bool ok = true;
+    for (const auto& [p, e] : m.participants) {
+      for (const auto& c : sys.process(p).edges.at(static_cast<std::size_t>(e)).guard) {
+        if (!holds(c)) ok = false;
+      }
+    }
+    if (ok) result.push_back(std::move(m));
+  }
+  return result;
+}
+
+/// Empty when `got` holds `want`'s moves in order, otherwise the first
+/// difference. Also checks the list's own layout.
+std::string list_mismatch(const std::vector<Move>& want, const MoveList& got) {
+  if (!got.ends.empty() && got.ends.back() != got.parts.size()) {
+    return "last end " + std::to_string(got.ends.back()) + " != " +
+           std::to_string(got.parts.size()) + " parts";
+  }
+  if (!std::is_sorted(got.ends.begin(), got.ends.end())) return "ends unsorted";
+  if (got.size() != want.size()) {
+    return std::to_string(got.size()) + " moves, want " +
+           std::to_string(want.size());
+  }
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const MoveSpan m = got[i];
+    if (!std::equal(m.begin(), m.end(), want[i].participants.begin(),
+                    want[i].participants.end())) {
+      return "move " + std::to_string(i) + " differs";
+    }
+  }
+  return {};
+}
+
+/// Calls f(branch_choice) for every combination of the move's probabilistic
+/// branches (-1 for Dirac participants).
+template <class F>
+void for_each_branch_choice(const System& sys, MoveSpan m, F&& f) {
+  std::vector<int> choice(m.size(), -1);
+  auto rec = [&](auto&& self, std::size_t k) -> void {
+    if (k == m.size()) {
+      f(choice);
+      return;
+    }
+    const Edge& e =
+        sys.process(m[k].first).edges[static_cast<std::size_t>(m[k].second)];
+    if (!e.probabilistic()) {
+      self(self, k + 1);
+      return;
+    }
+    for (std::size_t b = 0; b < e.branches.size(); ++b) {
+      choice[k] = static_cast<int>(b);
+      self(self, k + 1);
+    }
+    choice[k] = -1;
+  };
+  rec(rec, 0);
+}
+
+struct OracleTally {
+  std::size_t states = 0;
+  std::size_t moves = 0;       ///< data-level moves compared
+  std::size_t broadcasts = 0;  ///< of those, broadcast moves
+  std::size_t filtered_out = 0;  ///< moves a clock filter dropped
+  std::size_t mismatches = 0;
+  std::string first;
+};
+
+/// Compares every enumerator against the oracle on every reachable digital
+/// state of `sys` (up to `max_states`): the data-level list, the digital
+/// clock-filtered list, the concrete clock-filtered list (at the state's
+/// clocks plus 0.5), and delay_forbidden with and without the list. One
+/// MoveList is reused throughout, as callers do.
+void check_against_oracle(const System& sys, const std::string& name,
+                          std::size_t max_states, OracleTally& tally) {
+  const DigitalSemantics dig(sys);
+  const ConcreteSemantics con(sys);
+  const SymbolicSemantics& sym = dig.symbolic();
+  const auto from = edges_from(sys);
+  MoveList list;
+  std::unordered_set<DigitalState, DigitalStateHash> seen;
+  std::deque<DigitalState> work{dig.initial()};
+  seen.insert(work.front());
+  auto fail = [&](const std::string& what, const DigitalState& s) {
+    if (tally.mismatches++ == 0) {
+      tally.first = name + " state " + std::to_string(tally.states) + " (" +
+                    sym.state_to_string(SymState{s.locs, s.vars}) + "): " + what;
+    }
+  };
+  for (std::size_t visited = 0; !work.empty() && visited < max_states;
+       ++visited) {
+    const DigitalState s = std::move(work.front());
+    work.pop_front();
+    ++tally.states;
+
+    const std::vector<Move> want =
+        oracle_enabled_moves(sys, from, sym, s.locs, s.vars);
+    tally.moves += want.size();
+    for (const Move& m : want) {
+      const Edge& e = sys.process(m.participants[0].first)
+                          .edges[static_cast<std::size_t>(m.participants[0].second)];
+      if (e.sync == SyncKind::kSend && sys.channel(e.channel_id(s.vars)).broadcast) {
+        ++tally.broadcasts;
+      }
+    }
+    sym.enabled_moves(s.locs, s.vars, list);
+    if (auto why = list_mismatch(want, list); !why.empty()) fail("data " + why, s);
+    if (sym.delay_forbidden(s.locs, s.vars, list) !=
+        sym.delay_forbidden(s.locs, s.vars)) {
+      fail("delay_forbidden differs", s);
+    }
+
+    ConcreteState c{s.locs, s.vars, {}};
+    for (std::size_t i = 0; i < s.clocks.size(); ++i) {
+      c.clocks.push_back(i == 0 ? 0.0 : s.clocks[i] + 0.5);
+    }
+    const std::vector<Move> want_now = clock_filtered(
+        sys, want, [&](const ClockConstraint& cc) {
+          Edge probe;
+          probe.guard = {cc};
+          return con.guard_satisfied(probe, c);
+        });
+    con.retain_enabled_now(c, list);
+    if (auto why = list_mismatch(want_now, list); !why.empty()) {
+      fail("concrete " + why, s);
+    }
+
+    const std::vector<Move> want_digital = clock_filtered(
+        sys, want, [&](const ClockConstraint& cc) { return dig.constraint_ok(cc, s); });
+    tally.filtered_out += want.size() - want_digital.size();
+    dig.enabled_moves(s, list);
+    if (auto why = list_mismatch(want_digital, list); !why.empty()) {
+      fail("digital " + why, s);
+    }
+
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      for_each_branch_choice(sys, list[i], [&](const std::vector<int>& choice) {
+        DigitalState next = dig.apply(s, list[i], choice);
+        if (seen.insert(next).second) work.push_back(std::move(next));
+      });
+    }
+    if (dig.can_delay(s)) {
+      DigitalState next = dig.delay_one(s);
+      if (seen.insert(next).second) work.push_back(std::move(next));
+    }
+  }
+}
+
+TEST(MoveListOracle, MatchesOnRandomNetworks) {
+  quanta::common::Rng rng(20261018);
+  OracleTally plain;
+  OracleTally rich;
+  for (int i = 0; i < 200; ++i) {
+    const System sys = quanta::testing_models::random_ta(rng, 2 + i % 3);
+    check_against_oracle(sys, "random " + std::to_string(i), 4000, plain);
+  }
+  for (int i = 0; i < 200; ++i) {
+    const System sys = quanta::testing_models::random_ta(rng, 2 + i % 3,
+                                                         /*zero_delay_rules=*/true);
+    check_against_oracle(sys, "random zero-delay " + std::to_string(i), 4000,
+                         rich);
+  }
+  EXPECT_EQ(plain.mismatches, 0u) << plain.first;
+  EXPECT_EQ(rich.mismatches, 0u) << rich.first;
+  // The generated networks must actually exercise the enumerator.
+  EXPECT_GT(plain.moves, 50000u);
+  EXPECT_GT(plain.filtered_out, 10000u);
+  EXPECT_GT(rich.broadcasts, 6000u);
+  EXPECT_GT(rich.filtered_out, 4000u);
+}
+
+TEST(MoveListOracle, MatchesOnPaperModelsAndZeroDelayNetwork) {
+  OracleTally tally;
+  check_against_oracle(quanta::models::make_brp().system, "brp", 100000, tally);
+  const std::size_t brp_states = tally.states;
+
+  check_against_oracle(quanta::models::make_train_gate(3).system, "train-gate 3",
+                       20000, tally);
+
+  const std::size_t before = tally.broadcasts;
+  check_against_oracle(quanta::testing_models::broadcast_committed_urgent(),
+                       "broadcast/committed/urgent", 100000, tally);
+  EXPECT_EQ(tally.mismatches, 0u) << tally.first;
+  EXPECT_EQ(brp_states, 1335u);  // the whole digital MDP state space
+  EXPECT_GT(tally.broadcasts, before);
+}
+
+// The flat list in place of one Move per enabled move: layout and in-place
+// filtering.
+TEST(MoveList, SpansFollowEndsAndRetainKeepsOrder) {
+  MoveList list;
+  list.parts = {{0, 1}, {2, 3}, {1, 0}, {0, 2}, {1, 1}, {2, 2}};
+  list.ends = {1, 3, 6};
+  ASSERT_EQ(list.size(), 3u);
+  EXPECT_EQ(list[0].size(), 1u);
+  EXPECT_EQ(list[1].size(), 2u);
+  EXPECT_EQ(list[2][2], (MovePart{2, 2}));
+  EXPECT_EQ(list.move(1).participants, (std::vector<MovePart>{{2, 3}, {1, 0}}));
+  list.retain([](MoveSpan m) { return m.size() != 2; });
+  ASSERT_EQ(list.size(), 2u);
+  EXPECT_EQ(list.parts,
+            (std::vector<MovePart>{{0, 1}, {0, 2}, {1, 1}, {2, 2}}));
+  EXPECT_EQ(list.ends, (std::vector<std::uint32_t>{1, 4}));
+  list.retain([](MoveSpan) { return false; });
+  EXPECT_TRUE(list.empty());
+  EXPECT_TRUE(list.parts.empty());
+}
+
+// A broadcast dropped by the committed filter leaves no parts behind.
+TEST(EnabledMoves, CommittedFilterRollsBackBroadcast) {
+  const System sys = quanta::testing_models::broadcast_committed_urgent();
+  SymbolicSemantics sem(sys);
+  const int r0 = sys.process_index("R0");
+  std::vector<int> locs(static_cast<std::size_t>(sys.process_count()), 0);
+  locs[static_cast<std::size_t>(r0)] = 1;  // R0 committed in Got
+  const Valuation vars = sys.vars().initial();
+  MoveList list;
+  sem.enabled_moves(locs, vars, list);
+  // Only R0's hand-off to K remains; S's broadcast and P's urgent send go.
+  ASSERT_EQ(list.size(), 1u);
+  EXPECT_EQ(list.parts.size(), 2u);
+  EXPECT_EQ(list[0][0], (MovePart{r0, 1}));
+  EXPECT_TRUE(sem.delay_forbidden(locs, vars, list));
 }
 
 }  // namespace
