@@ -1,7 +1,7 @@
 // Engine micro-benchmarks (google-benchmark): throughput of the primitives
-// the experiments rest on — DBM algebra, symbolic successor computation,
-// digital MDP construction, MDP precomputation and value iteration, the
-// modes and SMC simulators, BIP interaction evaluation.
+// the experiments rest on — DBM algebra, symbolic successor computation, a
+// whole zone-graph query, digital MDP construction, MDP precomputation and
+// value iteration, the modes and SMC simulators, BIP interaction evaluation.
 //
 // A counting global operator new, local to this binary, backs the
 // allocs_per_* user counters; they are exact and repeat from run to run.
@@ -20,7 +20,9 @@
 #include "models/dala.h"
 #include "models/train_gate.h"
 #include "pta/digital_clocks.h"
+#include "random_ta.h"
 #include "smc/estimate.h"
+#include "smc/simulator.h"
 #include "sta/des.h"
 
 namespace {
@@ -121,6 +123,56 @@ void BM_SymbolicSuccessors(benchmark::State& state) {
 }
 BENCHMARK(BM_SymbolicSuccessors)->Arg(2)->Arg(4)->Arg(6);
 
+// The same successors into one caller-owned buffer, as the mc engines
+// compute them: once the slots have grown, a call allocates nothing.
+void BM_SymbolicSuccessorsBuffer(benchmark::State& state) {
+  auto tg = models::make_train_gate(static_cast<int>(state.range(0)));
+  ta::SymbolicSemantics sem(tg.system);
+  ta::SuccessorBuffer buf;
+  sem.successors(sem.initial(), buf);
+  const ta::SymState s = buf.state(0);
+  sem.successors(s, buf);  // grow the slots before counting
+  std::uint64_t produced = 0;
+  const std::uint64_t before = allocs();
+  for (auto _ : state) {
+    sem.successors(s, buf);
+    produced += buf.size();
+    benchmark::DoNotOptimize(buf);
+  }
+  state.counters["allocs_per_successor"] = per(allocs() - before, produced);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SymbolicSuccessorsBuffer)->Arg(2)->Arg(4)->Arg(6);
+
+// One zone-mc query: check_invariant A[] mutex on train-gate N, no trace.
+// allocs_per_query is exact: the search is deterministic.
+void BM_CheckInvariantTrainGate(benchmark::State& state) {
+  auto tg = models::make_train_gate(static_cast<int>(state.range(0)));
+  std::vector<int> cross;
+  for (int t : tg.trains) {
+    cross.push_back(tg.system.process(t).location_index("Cross"));
+  }
+  const auto trains = tg.trains;
+  const mc::StatePredicate mutex = [trains, cross](const ta::SymState& s) {
+    int n = 0;
+    for (std::size_t i = 0; i < trains.size(); ++i) {
+      if (s.locs[static_cast<std::size_t>(trains[i])] == cross[i]) ++n;
+    }
+    return n <= 1;
+  };
+  mc::ReachOptions opts;
+  opts.record_trace = false;
+  std::uint64_t queries = 0;
+  const std::uint64_t before = allocs();
+  for (auto _ : state) {
+    auto r = mc::check_invariant(tg.system, mutex, opts);
+    benchmark::DoNotOptimize(r);
+    ++queries;
+  }
+  state.counters["allocs_per_query"] = per(allocs() - before, queries);
+}
+BENCHMARK(BM_CheckInvariantTrainGate)->Arg(5)->Unit(benchmark::kMillisecond);
+
 void BM_ZoneGraphExploration(benchmark::State& state) {
   auto tg = models::make_train_gate(static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -189,6 +241,30 @@ void BM_SmcTrainGateRuns(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(runs));
 }
 BENCHMARK(BM_SmcTrainGateRuns)->Unit(benchmark::kMillisecond);
+
+// SMC runs on the zero-delay network (broadcast, committed and urgent
+// rules, an urgent channel): the urgent-channel check of every step
+// enumerates into the simulator's own move list.
+void BM_SmcZeroDelayRuns(benchmark::State& state) {
+  constexpr std::size_t kRuns = 500;
+  const ta::System sys = testing_models::broadcast_committed_urgent();
+  const int n = sys.vars().index_of("n");
+  smc::TimeBoundedReach prop;
+  prop.time_bound = 15.0;
+  prop.goal = [n](const ta::ConcreteState& s) { return s.vars[n] >= 6; };
+  std::uint64_t runs = 0;
+  const std::uint64_t before = allocs();
+  for (auto _ : state) {
+    smc::Simulator sim(sys, 37);
+    for (std::size_t r = 0; r < kRuns; ++r) {
+      benchmark::DoNotOptimize(sim.run(prop));
+    }
+    runs += kRuns;
+  }
+  state.counters["allocs_per_run"] = per(allocs() - before, runs);
+  state.SetItemsProcessed(static_cast<std::int64_t>(runs));
+}
+BENCHMARK(BM_SmcZeroDelayRuns)->Unit(benchmark::kMillisecond);
 
 void BM_ValueIteration(benchmark::State& state) {
   auto brp = models::make_brp();

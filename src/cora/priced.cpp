@@ -352,10 +352,10 @@ class PricedSearch {
                                     : std::string{};
             relax(intern(sem_.apply(state, m)), c, e.id, std::move(label));
           }
-          if (sem_.can_delay(state)) {
+          if (auto delayed = sem_.delay(state, moves)) {
             ++taken;
             std::int64_t c = e.key + prices_.delay_rate(state.locs);
-            relax(intern(sem_.delay_one(state)), c, e.id, "tick");
+            relax(intern(std::move(*delayed)), c, e.id, "tick");
           }
           return taken;
         },

@@ -27,7 +27,7 @@
 // trait overloads, which decide exactly like the unpooled ones — so
 // insertion order, chain membership, chain scan order and the rehash
 // trajectory are bit-identical to an unpooled store. state(id) materializes
-// an S by value on demand.
+// an S by value on demand; state(id, out) materializes into a caller-owned S.
 //
 // Signature-filtered inclusion scan: when the traits define the optional
 // signature hook (core::SignedTraits — see traits.h), an inclusion store
@@ -121,8 +121,12 @@ class StateStore {
 
   /// Interns a state. Returns the id of the representative state: the new
   /// id if inserted, or the id of the stored state that deduplicates /
-  /// subsumes `s` otherwise.
-  Interned intern(S s) {
+  /// subsumes `s` otherwise. A pooled store never copies `s` (it interns
+  /// its components), so callers may pass a reused buffer by reference; an
+  /// unpooled store copies or moves it into the record.
+  template <typename T>
+    requires std::same_as<std::remove_cvref_t<T>, S>
+  Interned intern(T&& s) {
     common::FaultInjector::site("core.state_store.intern");
     const std::size_t h = key_hash(s);
     const Signature sig = signature_of(s);
@@ -165,7 +169,7 @@ class StateStore {
       }
     }
     const std::int32_t id = static_cast<std::int32_t>(states_.size());
-    push_state(std::move(s), h, sig);
+    push_state(std::forward<T>(s), h, sig);
     link_state(id, slot, tail, chain + 1);
     return {id, true};
   }
@@ -179,6 +183,16 @@ class StateStore {
     } else {
       return states_[toIdx(id)];
     }
+  }
+
+  /// The state behind an id, materialized into `out` through
+  /// Traits::unpool_into, which reuses out's capacity: a search that
+  /// materializes every visited state into one object allocates nothing
+  /// for it.
+  void state(std::int32_t id, S& out) const
+    requires kPooled
+  {
+    Traits::unpool_into(pool_, states_[toIdx(id)], out);
   }
 
   bool covered(std::int32_t id) const { return covered_[toIdx(id)] != 0; }
@@ -361,11 +375,12 @@ class StateStore {
 
   /// Appends the state record and its bookkeeping columns (not yet linked
   /// into any chain).
-  void push_state(S&& s, std::size_t h, const Signature& sig) {
+  template <typename T>
+  void push_state(T&& s, std::size_t h, const Signature& sig) {
     if constexpr (kPooled) {
       states_.push_back(Traits::pool(pool_, s));
     } else {
-      states_.push_back(std::move(s));
+      states_.push_back(std::forward<T>(s));
     }
     bytes_ += stored_bytes(states_.back());
     hashes_.push_back(h);

@@ -60,6 +60,14 @@ enum class Subsumes {
 /// overloads must decide exactly like their unpooled counterparts would on
 /// the materialized state. unpool(pool(s)) must reproduce s exactly.
 ///
+/// A pooled specialization may also define
+///
+///   static void unpool_into(const store::ZonePool&, const Pooled&, S& out);
+///
+/// which materializes into an existing S, reusing its capacity; it must
+/// leave `out` equal to unpool's result. StateStore::state(id, out) calls
+/// it.
+///
 /// Inclusion signature (optional, inclusion traits only). A specialization
 /// may define
 ///
@@ -95,36 +103,21 @@ concept SignedTraits = requires(const S& s) {
   { Traits::signature(s) } -> std::same_as<Signature>;
 };
 
-namespace detail {
-inline constexpr std::uint64_t kByteHighBits = 0x8080808080808080ull;
-
-/// Byte-wise unsigned x >= y over 8 packed bytes: the high bit of each
-/// result byte is set iff that byte of x is >= the same byte of y. The low
-/// seven bits are compared by a subtraction that cannot borrow across
-/// bytes; the high bits decide where they differ.
-constexpr std::uint64_t bytes_ge(std::uint64_t x, std::uint64_t y) {
-  const std::uint64_t low_ge = (x | kByteHighBits) - (y & ~kByteHighBits);
-  return ((x & ~y) | (~(x ^ y) & low_ge)) & kByteHighBits;
-}
-}  // namespace detail
-
 /// True when one byte of `a` is below and another above the same byte of
-/// `b`: by the signature contract the two states are incomparable. Runs on
-/// two 64-bit words rather than sixteen byte compares, since it sits on the
-/// inclusion scan's hot path.
+/// `b`: by the signature contract the two states are incomparable. It sits
+/// on the inclusion scan's hot path, so it is one 16-byte vector compare
+/// each way (GCC vector extensions: SSE2 on x86-64, NEON on AArch64, plain
+/// scalar code elsewhere), then an OR over each mask.
 inline bool signature_rejects(const Signature& a, const Signature& b) {
-  std::uint64_t w[4];
-  std::memcpy(&w[0], a.data(), 8);
-  std::memcpy(&w[1], a.data() + 8, 8);
-  std::memcpy(&w[2], b.data(), 8);
-  std::memcpy(&w[3], b.data() + 8, 8);
-  using detail::bytes_ge;
-  using detail::kByteHighBits;
-  const bool a_ge_b =
-      (bytes_ge(w[0], w[2]) & bytes_ge(w[1], w[3])) == kByteHighBits;
-  const bool b_ge_a =
-      (bytes_ge(w[2], w[0]) & bytes_ge(w[3], w[1])) == kByteHighBits;
-  return !a_ge_b && !b_ge_a;
+  using Bytes = std::uint8_t __attribute__((vector_size(16)));
+  using Words = std::uint64_t __attribute__((vector_size(16)));
+  Bytes va;
+  Bytes vb;
+  std::memcpy(&va, a.data(), sizeof va);
+  std::memcpy(&vb, b.data(), sizeof vb);
+  const Words below = reinterpret_cast<Words>(va < vb);
+  const Words above = reinterpret_cast<Words>(va > vb);
+  return ((below[0] | below[1]) != 0) && ((above[0] | above[1]) != 0);
 }
 
 }  // namespace quanta::core

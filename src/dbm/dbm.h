@@ -141,6 +141,9 @@ class Dbm {
   /// Rebuilds an owning Dbm from a raw matrix in raw_data() layout. The
   /// input must already be canonical (it came from a canonical Dbm).
   static Dbm from_raw(int dim, const raw_t* data);
+  /// Same, into this Dbm: keeps the matrix's capacity, so materializing
+  /// zones of one dimension over and over allocates nothing.
+  void assign_raw(int dim, const raw_t* data);
 
   /// True iff the intersection with `other` is non-empty.
   bool intersects(const Dbm& other) const;

@@ -373,8 +373,8 @@ void TimedGame::build_graph(bool resumed, std::uint32_t objective,
             node.unctrl.push_back(to);
           }
         }
-        if (sem_.can_delay(state)) {
-          node.tick = intern(sem_.delay_one(state));
+        if (auto delayed = sem_.delay(state, moves)) {
+          node.tick = intern(std::move(*delayed));
           ++taken;
         }
         nodes_[static_cast<std::size_t>(e.id)] = std::move(node);
@@ -678,7 +678,9 @@ bool closed_loop_explore(
         } else {
           // Strategy waits (or state is outside the winning region): time may
           // pass if permitted.
-          if (sem.can_delay(state)) next.push_back(intern(sem.delay_one(state)));
+          if (auto delayed = sem.delay(state, moves)) {
+            next.push_back(intern(std::move(*delayed)));
+          }
         }
         const std::size_t taken = next.size();
         succ[static_cast<std::size_t>(e.id)] = std::move(next);

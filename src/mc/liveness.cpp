@@ -22,9 +22,9 @@ struct Graph {
   std::vector<std::vector<std::int32_t>> succ;
 
   std::size_t size() const { return store.size(); }
-  /// By value: the pooled store materializes states on demand.
-  ta::SymState state(std::size_t i) const {
-    return store.state(static_cast<std::int32_t>(i));
+  /// Materializes state i into `out`, reusing its capacity.
+  void state(std::size_t i, ta::SymState& out) const {
+    store.state(static_cast<std::int32_t>(i), out);
   }
 };
 
@@ -234,14 +234,19 @@ class GraphBuilder {
     // snapshot (empty worklist) has nothing to add, and re-saving it would
     // only grow the delta chain with empty links.
     const bool extends = !resumed || !work_.empty();
+    // One expanded state and one successor buffer, reused for every state.
+    ta::SymState state;
+    ta::SuccessorBuffer succ;
     SearchStats stats = core::explore(
         g_.store, work_, opts_.limits,
         [](const core::Worklist::Entry&) { return core::Visit::kContinue; },
         [&](const core::Worklist::Entry& e) -> std::size_t {
-          const ta::SymState state = g_.store.state(e.id);
+          g_.store.state(e.id, state);
+          sem_.successors(state, succ);
           std::vector<std::int32_t> next;
-          for (auto& tr : sem_.successors(state)) {
-            next.push_back(intern(std::move(tr.state)));
+          next.reserve(succ.size());
+          for (std::size_t k = 0; k < succ.size(); ++k) {
+            next.push_back(intern(succ.state(k)));
           }
           const std::size_t taken = next.size();
           g_.succ[static_cast<std::size_t>(e.id)] = std::move(next);
@@ -263,8 +268,8 @@ class GraphBuilder {
   }
 
  private:
-  std::int32_t intern(ta::SymState s) {
-    auto [id, inserted] = g_.store.intern(std::move(s));
+  std::int32_t intern(const ta::SymState& s) {
+    auto [id, inserted] = g_.store.intern(s);
     if (inserted) {
       g_.succ.emplace_back();
       work_.push(id);
@@ -424,8 +429,9 @@ LeadsToResult check_leads_to(const ta::System& sys, const StatePredicate& phi,
         const Graph& g = builder.graph();
         std::vector<bool> is_psi(g.size());
         std::vector<int> roots;
+        ta::SymState s;
         for (std::size_t i = 0; i < g.size(); ++i) {
-          const ta::SymState s = g.state(i);
+          g.state(i, s);
           is_psi[i] = psi(s);
           if (!is_psi[i] && phi(s)) {
             roots.push_back(static_cast<int>(i));

@@ -253,11 +253,13 @@ class Explorer {
   /// `resumed` the initial state is already interned (restore_from).
   std::int32_t run(SearchStats& stats, bool resumed,
                    ckpt::ResumeInfo* resume) {
-    if (!resumed) add_state(sem_.initial(), -1, ta::Move{});
+    if (!resumed) add_state(sem_.initial(), -1, {});
     std::int32_t goal_node = -1;
     // The state just visited, materialized once for the goal test and then
-    // moved into its expansion (the store may reallocate while expanding).
+    // expanded, and the buffer its successors go to. Both are reused for
+    // every state, so a step allocates nothing once they have grown.
     ta::SymState visited;
+    ta::SuccessorBuffer succ;
     core::CheckpointHook hook;
     const core::CheckpointHook* hook_ptr = nullptr;
     const std::uint64_t interval = opts_.checkpoint.effective_interval();
@@ -278,7 +280,7 @@ class Explorer {
     stats = core::explore(
         store_, waiting_, opts_.limits,
         [&](const core::Worklist::Entry& e) {
-          visited = store_.state(e.id);
+          store_.state(e.id, visited);
           if (goal_(visited)) {
             goal_node = e.id;
             return core::Visit::kStop;
@@ -286,13 +288,11 @@ class Explorer {
           return core::Visit::kContinue;
         },
         [&](const core::Worklist::Entry& e) -> std::size_t {
-          const ta::SymState state = std::move(visited);
-          std::size_t taken = 0;
-          for (auto& tr : sem_.successors(state)) {
-            ++taken;
-            add_state(std::move(tr.state), e.id, std::move(tr.move));
+          sem_.successors(visited, succ);
+          for (std::size_t k = 0; k < succ.size(); ++k) {
+            add_state(succ.state(k), e.id, succ.move(k));
           }
-          return taken;
+          return succ.size();
         },
         opts_.observer, hook_ptr);
     stats.states_explored += static_cast<std::size_t>(baseline_explored_);
@@ -318,11 +318,16 @@ class Explorer {
   }
 
  private:
-  void add_state(ta::SymState s, std::int32_t parent, ta::Move move) {
-    auto [id, inserted] = store_.intern(std::move(s));
+  /// Interns `s` (without copying it) and, if stored, records its parent
+  /// and — for traces only — the move that produced it.
+  void add_state(const ta::SymState& s, std::int32_t parent,
+                 ta::MoveSpan move) {
+    auto [id, inserted] = store_.intern(s);
     if (!inserted) return;  // covered by a stored zone
     parents_.push_back(parent);
-    if (opts_.record_trace) moves_.push_back(std::move(move));
+    if (opts_.record_trace) {
+      moves_.push_back(ta::Move{{move.begin(), move.end()}});
+    }
     waiting_.push(id);
     if (opts_.observer != nullptr) {
       opts_.observer->on_state_stored(id, store_.size());

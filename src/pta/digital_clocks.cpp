@@ -105,9 +105,9 @@ DigitalMdp build_digital_mdp_impl(const ta::System& sys,
           out.mdp.add_choice(e.id, std::move(branches), /*reward=*/0.0);
         }
 
-        if (sem.can_delay(state)) {
+        if (auto delayed = sem.delay(state, moves)) {
           ++taken;
-          std::int32_t next = intern(sem.delay_one(state));
+          std::int32_t next = intern(std::move(*delayed));
           out.mdp.add_choice(e.id, {mdp::Branch{next, 1.0}}, /*reward=*/1.0);
         }
         return taken;

@@ -154,7 +154,7 @@ RunResult Simulator::run(const TimeBoundedReach& prop) {
     }
     ++result.steps;
 
-    if (sem_.symbolic().delay_forbidden(s.locs, s.vars)) {
+    if (sem_.symbolic().delay_forbidden_enumerating(s.locs, s.vars, moves_)) {
       if (!fire_immediate(s)) return result;  // timelock: run stuck
       if (observer_) observer_(s, t);
       continue;

@@ -70,13 +70,25 @@ ZonePool::ZonePool(PoolConfig cfg) : cfg_(std::move(cfg)) {
 }
 
 std::uint64_t ZonePool::content_hash(std::span<const std::int32_t> words) {
-  // FNV-1a over the raw bytes: cheap, deterministic across runs, and the
-  // same recipe the checkpoint fingerprints use.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto* p = reinterpret_cast<const std::uint8_t*>(words.data());
-  for (std::size_t i = 0; i < words.size_bytes(); ++i) {
-    h = (h ^ p[i]) * 0x100000001b3ULL;
+  // Two words per multiply, then a 64-bit finalizer (MurmurHash3's fmix64)
+  // so the low bits the table index uses depend on every input bit. Only
+  // this pool sees the value: it picks a probe position, while Refs and
+  // every dedup decision rest on equal content.
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ words.size();
+  const std::int32_t* p = words.data();
+  std::size_t n = words.size();
+  for (; n >= 2; n -= 2, p += 2) {
+    std::uint64_t pair;
+    std::memcpy(&pair, p, sizeof pair);
+    h = (h ^ pair) * 0xff51afd7ed558ccdULL;
+    h ^= h >> 32;
   }
+  if (n == 1) h = (h ^ static_cast<std::uint32_t>(*p)) * 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
   return h;
 }
 
@@ -196,13 +208,8 @@ Ref ZonePool::intern(std::span<const std::int32_t> words) {
   return ref;
 }
 
-std::span<const std::int32_t> ZonePool::data(Ref ref) const {
-  const Record& r = records_[ref];
+std::span<const std::int32_t> ZonePool::cold_data(const Record& r) const {
   if (r.len == 0) return {};
-  if (r.chunk != kSpilled) {
-    return {chunks_[static_cast<std::size_t>(r.chunk)].get() + r.offset,
-            r.len};
-  }
   return spill_.read(r.offset, r.len);
 }
 

@@ -106,7 +106,16 @@ class ZonePool {
   /// The payload behind a Ref, wherever it lives (arena or spill file).
   /// The span is invalidated by the next intern() — evictions triggered by
   /// an insertion may move the bytes it points at.
-  std::span<const std::int32_t> data(Ref ref) const;
+  /// Resident records, the common case, resolve inline; empty and spilled
+  /// ones take the out-of-line path.
+  std::span<const std::int32_t> data(Ref ref) const {
+    const Record& r = records_[ref];
+    if (r.chunk != kSpilled) {
+      return {chunks_[static_cast<std::size_t>(r.chunk)].get() + r.offset,
+              r.len};
+    }
+    return cold_data(r);
+  }
 
   std::uint32_t size(Ref ref) const { return records_[ref].len; }
   std::uint32_t refcount(Ref ref) const { return records_[ref].refs; }
@@ -136,7 +145,8 @@ class ZonePool {
     std::uint64_t hash = 0;
     std::uint32_t len = 0;   ///< payload words
     std::uint32_t refs = 0;
-    std::int32_t chunk = -1; ///< arena chunk index, or kSpilled
+    std::int32_t chunk = -1; ///< arena chunk index, or kSpilled (also
+                             ///< for empty records, which have no storage)
     std::size_t offset = 0;  ///< word offset in chunk / byte offset in spill
   };
   static constexpr std::int32_t kSpilled = -1;
@@ -144,6 +154,7 @@ class ZonePool {
   static constexpr std::size_t kMinChunkWords = std::size_t{1} << 6;  // 256 B
 
   static std::uint64_t content_hash(std::span<const std::int32_t> words);
+  std::span<const std::int32_t> cold_data(const Record& r) const;
   bool record_equals(const Record& r, std::uint64_t h,
                      std::span<const std::int32_t> words) const;
   const std::int32_t* record_words(const Record& r) const;

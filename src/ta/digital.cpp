@@ -61,17 +61,16 @@ bool DigitalSemantics::invariant_ok(const DigitalState& s) const {
   return true;
 }
 
-bool DigitalSemantics::can_delay(const DigitalState& s) const {
-  if (sym_.delay_forbidden(s.locs, s.vars)) return false;
-  DigitalState next = delay_one(s);
-  return invariant_ok(next);
-}
-
-DigitalState DigitalSemantics::delay_one(const DigitalState& s) const {
+std::optional<DigitalState> DigitalSemantics::delay(const DigitalState& s,
+                                                    MoveList& scratch) const {
+  if (sym_.delay_forbidden_enumerating(s.locs, s.vars, scratch)) {
+    return std::nullopt;
+  }
   DigitalState next = s;
   for (std::size_t i = 1; i < next.clocks.size(); ++i) {
     if (next.clocks[i] < caps_[i]) next.clocks[i] += 1;
   }
+  if (!invariant_ok(next)) return std::nullopt;
   return next;
 }
 

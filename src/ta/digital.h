@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -41,12 +42,13 @@ class DigitalSemantics {
 
   DigitalState initial() const;
 
-  /// True iff a unit delay is allowed (invariants still hold afterwards and
-  /// no committed/urgent context forbids delay).
-  bool can_delay(const DigitalState& s) const;
-
-  /// Unit delay with per-clock capping. Requires can_delay().
-  DigitalState delay_one(const DigitalState& s) const;
+  /// The unit delay of `s` with per-clock capping, or nothing when no delay
+  /// is allowed: a committed/urgent context forbids it, or an invariant
+  /// fails afterwards. `scratch` is overwritten when the model has an
+  /// urgent channel (SymbolicSemantics::delay_forbidden_enumerating);
+  /// callers pass their move list once they are done with it.
+  std::optional<DigitalState> delay(const DigitalState& s,
+                                    MoveList& scratch) const;
 
   /// Replaces `out` with the discrete moves enabled right now (data + clock
   /// guards + committed): the data-level enumeration, clock-filtered in

@@ -76,14 +76,6 @@ bool SymbolicSemantics::any_urgent(const std::vector<int>& locs) const {
   return false;
 }
 
-bool SymbolicSemantics::urgent_sync_enabled(const std::vector<int>& locs,
-                                            const Valuation& vars) const {
-  if (!has_urgent_channel_) return false;
-  MoveList moves;
-  enabled_moves(locs, vars, moves);
-  return urgent_sync_enabled(moves, vars);
-}
-
 bool SymbolicSemantics::urgent_sync_enabled(const MoveList& moves,
                                             const Valuation& vars) const {
   if (!has_urgent_channel_) return false;
@@ -100,10 +92,19 @@ bool SymbolicSemantics::urgent_sync_enabled(const MoveList& moves,
   return false;
 }
 
+bool SymbolicSemantics::delay_forbidden_enumerating(
+    const std::vector<int>& locs, const Valuation& vars,
+    MoveList& scratch) const {
+  if (any_committed(locs) || any_urgent(locs)) return true;
+  if (!has_urgent_channel_) return false;
+  enabled_moves(locs, vars, scratch);
+  return urgent_sync_enabled(scratch, vars);
+}
+
 bool SymbolicSemantics::delay_forbidden(const std::vector<int>& locs,
                                         const Valuation& vars) const {
-  return any_committed(locs) || any_urgent(locs) ||
-         urgent_sync_enabled(locs, vars);
+  MoveList moves;
+  return delay_forbidden_enumerating(locs, vars, moves);
 }
 
 bool SymbolicSemantics::delay_forbidden(const std::vector<int>& locs,
@@ -238,43 +239,59 @@ void SymbolicSemantics::apply_edge_effect(const Edge& e, Valuation& vars,
   }
 }
 
-std::optional<SymState> SymbolicSemantics::apply_move(const SymState& s,
-                                                      MoveSpan m) const {
-  SymState next = s;
+bool SymbolicSemantics::apply_move(const SymState& s, MoveSpan m,
+                                   SymState& out, MoveList& scratch) const {
+  out = s;
   // Guards are evaluated against the pre-state zone.
   for (const auto& [p, e] : m) {
     const Edge& edge = sys_->process(p).edges.at(static_cast<std::size_t>(e));
-    if (!constrain_guard(edge, next.zone)) return std::nullopt;
+    if (!constrain_guard(edge, out.zone)) return false;
   }
   // Effects: sender/internal first, then receivers, in participant order.
   for (const auto& [p, e] : m) {
     const Edge& edge = sys_->process(p).edges.at(static_cast<std::size_t>(e));
-    next.locs[p] = edge.target;
-    apply_edge_effect(edge, next.vars, next.zone);
+    out.locs[p] = edge.target;
+    apply_edge_effect(edge, out.vars, out.zone);
   }
-  if (!constrain_invariant(next.locs, next.zone)) return std::nullopt;
-  if (!delay_forbidden(next.locs, next.vars)) {
-    next.zone.up();
-    if (!constrain_invariant(next.locs, next.zone)) return std::nullopt;
+  if (!constrain_invariant(out.locs, out.zone)) return false;
+  if (!delay_forbidden_enumerating(out.locs, out.vars, scratch)) {
+    out.zone.up();
+    if (!constrain_invariant(out.locs, out.zone)) return false;
   }
-  if (opts_.extrapolate) next.zone.extrapolate_max_bounds(max_k_);
-  if (next.zone.is_empty()) return std::nullopt;
-  return next;
+  if (opts_.extrapolate) out.zone.extrapolate_max_bounds(max_k_);
+  return !out.zone.is_empty();
+}
+
+void SymbolicSemantics::successors(const SymState& s,
+                                   SuccessorBuffer& out) const {
+  enabled_moves(s.locs, s.vars, out.moves);
+  out.move_of.clear();
+  for (std::size_t i = 0; i < out.moves.size(); ++i) {
+    const std::size_t k = out.move_of.size();
+    // A new slot starts as a copy of s, so apply_move's assignment finds
+    // the capacity it needs.
+    if (k == out.states.size()) out.states.push_back(s);
+    if (apply_move(s, out.moves[i], out.states[k], out.scratch)) {
+      out.move_of.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
 }
 
 std::vector<SymTransition> SymbolicSemantics::successors(const SymState& s) const {
-  // The list lives for one call, so it is reserved up front: growing it
-  // from empty would reallocate several times per call.
+  // The buffer lives for one call, so its lists are reserved up front:
+  // growing them from empty would reallocate several times per call.
   const auto procs = static_cast<std::size_t>(sys_->process_count());
-  MoveList moves;
-  moves.parts.reserve(2 * procs);
-  moves.ends.reserve(procs);
-  enabled_moves(s.locs, s.vars, moves);
+  SuccessorBuffer buf;
+  buf.moves.parts.reserve(2 * procs);
+  buf.moves.ends.reserve(procs);
+  buf.states.reserve(procs);
+  buf.move_of.reserve(procs);
+  successors(s, buf);
   std::vector<SymTransition> result;
-  for (std::size_t i = 0; i < moves.size(); ++i) {
-    if (auto next = apply_move(s, moves[i])) {
-      result.push_back(SymTransition{moves.move(i), std::move(*next)});
-    }
+  result.reserve(buf.size());
+  for (std::size_t k = 0; k < buf.size(); ++k) {
+    result.push_back(SymTransition{buf.moves.move(buf.move_of[k]),
+                                   std::move(buf.states[k])});
   }
   return result;
 }

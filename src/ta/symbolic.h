@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -108,6 +107,31 @@ struct SymTransition {
   SymState state;
 };
 
+/// The product of one successor computation, owned by the caller and
+/// reused for every state a search expands (one buffer per search).
+/// Successor k is state(k), reached by move(k), in enumeration order.
+///
+/// Reuse contract: each successors() call overwrites the buffer. `states`
+/// is a pool of slots that only grows: a slot is refilled by
+/// copy-assignment, which keeps the capacity of its location vector,
+/// variables and zone, and a move whose zone turns empty leaves its slot to
+/// the next move. Only the first size() slots belong to the current call;
+/// the rest hold stale states. So once the slots have grown to a search's
+/// largest fan-out, computing successors allocates nothing. A reference or
+/// span into the buffer is valid until the next call. The expanded state
+/// must not live in the buffer it is expanded into.
+struct SuccessorBuffer {
+  MoveList moves;  ///< the expanded state's enabled moves
+  std::vector<SymState> states;  ///< slots; the first size() are successors
+  /// Successor k came from moves[move_of[k]].
+  std::vector<std::uint32_t> move_of;
+  MoveList scratch;  ///< enumeration for a successor's urgent-channel check
+
+  std::size_t size() const { return move_of.size(); }
+  const SymState& state(std::size_t k) const { return states[k]; }
+  MoveSpan move(std::size_t k) const { return moves[move_of[k]]; }
+};
+
 class SymbolicSemantics {
  public:
   struct Options {
@@ -122,7 +146,11 @@ class SymbolicSemantics {
 
   SymState initial() const;
 
-  /// All discrete successors (each already delay-closed / extrapolated).
+  /// All discrete successors (each already delay-closed / extrapolated),
+  /// written into `out` (see SuccessorBuffer for the reuse contract). This
+  /// is the one successor computation.
+  void successors(const SymState& s, SuccessorBuffer& out) const;
+  /// Same, as owning transitions: a wrapper that copies a fresh buffer out.
   std::vector<SymTransition> successors(const SymState& s) const;
 
   /// Replaces `out` with the discrete moves enabled at the data level
@@ -133,8 +161,12 @@ class SymbolicSemantics {
   void enabled_moves(const std::vector<int>& locs, const Valuation& vars,
                      MoveList& out) const;
 
-  /// Applies a move; returns nullopt if the zone becomes empty.
-  std::optional<SymState> apply_move(const SymState& s, MoveSpan m) const;
+  /// Applies a move to `s`, writing the successor into `out` (assigned
+  /// from `s` first, so its capacity is reused). Returns false, leaving
+  /// `out` unspecified, if the zone becomes empty. `scratch` is overwritten
+  /// when the model has an urgent channel (see delay_forbidden_enumerating).
+  bool apply_move(const SymState& s, MoveSpan m, SymState& out,
+                  MoveList& scratch) const;
 
   /// The conjunction of location invariants as a zone constraint applied to z.
   bool constrain_invariant(const std::vector<int>& locs, dbm::Dbm& z) const;
@@ -144,11 +176,17 @@ class SymbolicSemantics {
 
   bool any_committed(const std::vector<int>& locs) const;
   bool any_urgent(const std::vector<int>& locs) const;
-  /// True iff a synchronisation on an urgent channel is enabled (data level).
-  bool urgent_sync_enabled(const std::vector<int>& locs,
-                           const Valuation& vars) const;
 
-  /// True iff delay is forbidden in the given discrete configuration.
+  /// True iff delay is forbidden in the given discrete configuration: a
+  /// committed or urgent location, or an enabled sync on an urgent channel.
+  /// Deciding the last enumerates the moves into `scratch`, which is
+  /// overwritten, and only for models that have an urgent channel. Callers
+  /// pass a list they own and are done with, so the check allocates
+  /// nothing once the list has grown.
+  bool delay_forbidden_enumerating(const std::vector<int>& locs,
+                                   const Valuation& vars,
+                                   MoveList& scratch) const;
+  /// Same, enumerating into a list of its own (tests, one-off checks).
   bool delay_forbidden(const std::vector<int>& locs,
                        const Valuation& vars) const;
   /// Same, with `moves` holding enabled_moves(locs, vars): no enumeration.
@@ -161,7 +199,8 @@ class SymbolicSemantics {
 
  private:
   void apply_edge_effect(const Edge& e, Valuation& vars, dbm::Dbm& z) const;
-  /// urgent_sync_enabled, reading the moves off `moves`, which holds
+  /// True iff a synchronisation on an urgent channel is enabled (data
+  /// level), reading the moves off `moves`, which holds
   /// enabled_moves(locs, vars) for the configuration's `vars`.
   bool urgent_sync_enabled(const MoveList& moves, const Valuation& vars) const;
 

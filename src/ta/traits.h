@@ -129,6 +129,12 @@ struct StateTraits<ta::SymState> {
   }
   static ta::SymState unpool(const store::ZonePool& p, const Pooled& st) {
     ta::SymState s;
+    unpool_into(p, st, s);
+    return s;
+  }
+  /// Materializes into `s`, reusing the capacity of its vectors and zone.
+  static void unpool_into(const store::ZonePool& p, const Pooled& st,
+                          ta::SymState& s) {
     store::unpack_vec(p, st.locs, s.locs);
     store::unpack_vec(p, st.vars, s.vars);
     const auto dim = static_cast<std::size_t>(st.dim);
@@ -143,8 +149,7 @@ struct StateTraits<ta::SymState> {
       std::memcpy(buf + r * dim, p.data(row_ref(p, st, r)).data(),
                   dim * sizeof(dbm::raw_t));
     }
-    s.zone = dbm::Dbm::from_raw(st.dim, buf);
-    return s;
+    s.zone.assign_raw(st.dim, buf);
   }
   static bool equal(const store::ZonePool& p, const Pooled& st,
                     const ta::SymState& s) {

@@ -61,7 +61,7 @@ TEST_P(SymbolicVsDigital, SameReachableLocationVectors) {
       for (std::size_t i = 0; i < moves.size(); ++i) {
         cmp_insert(sem.apply(s, moves[i]));
       }
-      if (sem.can_delay(s)) cmp_insert(sem.delay_one(s));
+      if (auto next = sem.delay(s, moves)) cmp_insert(std::move(*next));
     }
   }
   EXPECT_EQ(symbolic, digital)

@@ -166,6 +166,94 @@ TEST(Dbm, ExtrapolationKeepsSmallZonesIntact) {
 }
 
 // ---------------------------------------------------------------------------
+// Close oracle: the textbook Floyd-Warshall loop Dbm::close was written from,
+// kept verbatim as the reference. Dbm::close must produce the same matrix
+// and the same return value on arbitrary (non-canonical) input, including
+// inf entries, strict and non-strict bounds and negative cycles.
+// ---------------------------------------------------------------------------
+
+bool reference_close(Dbm& d) {
+  const int dim = d.dim();
+  for (int k = 0; k < dim; ++k) {
+    for (int i = 0; i < dim; ++i) {
+      raw_t dik = d.at(i, k);
+      if (dik >= kInf) continue;
+      for (int j = 0; j < dim; ++j) {
+        raw_t via = bound_add(dik, d.at(k, j));
+        if (via < d.at(i, j)) d.set(i, j, via);
+      }
+    }
+    if (d.at(k, k) < kLeZero) {
+      d.set(0, 0, bound_lt(-1));
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A random raw matrix: about a quarter of the entries unbounded, the rest
+/// strict or non-strict bounds in [-20, 20]; diagonals are mostly <= 0 but
+/// sometimes negative, so some matrices hold negative cycles.
+Dbm random_raw_matrix(quanta::common::Rng& rng, int dim) {
+  Dbm d(dim);
+  for (int i = 0; i < dim; ++i) {
+    for (int j = 0; j < dim; ++j) {
+      raw_t b;
+      if (i == j) {
+        b = rng.bernoulli(0.9) ? kLeZero : bound_le(rng.uniform_int(-3, 0));
+      } else if (rng.bernoulli(0.25)) {
+        b = kInf;
+      } else {
+        const int v = rng.uniform_int(-20, 20);
+        b = rng.bernoulli(0.5) ? bound_le(v) : bound_lt(v);
+      }
+      d.set(i, j, b);
+    }
+  }
+  return d;
+}
+
+TEST(DbmCloseOracle, BitIdenticalToReferenceOnRandomMatrices) {
+  quanta::common::Rng rng(20261019);
+  int empty = 0;
+  for (int n = 0; n < 12000; ++n) {
+    const int dim = 1 + n % 9;
+    const Dbm input = random_raw_matrix(rng, dim);
+    Dbm want = input;
+    Dbm got = input;
+    const bool want_ok = reference_close(want);
+    const bool got_ok = got.close();
+    ASSERT_EQ(got_ok, want_ok) << "matrix " << n << " dim " << dim;
+    ASSERT_EQ(got, want) << "matrix " << n << " dim " << dim;
+    if (!want_ok) ++empty;
+  }
+  // Both outcomes are exercised, so neither branch of the oracle is vacuous.
+  EXPECT_GT(empty, 1000);
+  EXPECT_LT(empty, 11000);
+}
+
+TEST(DbmCloseOracle, BitIdenticalOnConstrainedZones) {
+  // Canonical zones loosened at one entry: close must re-derive exactly
+  // what the reference derives.
+  quanta::common::Rng rng(7);
+  for (int n = 0; n < 2000; ++n) {
+    const int dim = 2 + n % 8;
+    Dbm z = Dbm::universal(dim);
+    for (int c = 0; c < 2 * dim; ++c) {
+      const int i = rng.uniform_int(0, dim - 1);
+      const int j = rng.uniform_int(0, dim - 1);
+      if (i == j) continue;
+      const int v = rng.uniform_int(-10, 10);
+      z.set(i, j, rng.bernoulli(0.5) ? bound_le(v) : bound_lt(v));
+    }
+    Dbm want = z;
+    Dbm got = z;
+    ASSERT_EQ(got.close(), reference_close(want)) << "zone " << n;
+    ASSERT_EQ(got, want) << "zone " << n;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Property tests: random canonical zones, checked against sampled points.
 // ---------------------------------------------------------------------------
 

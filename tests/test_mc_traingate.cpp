@@ -2,6 +2,7 @@
 // train-gate model (experiment E1), plus engine-level regression checks.
 #include <gtest/gtest.h>
 
+#include "core/observer.h"
 #include "mc/query.h"
 #include "models/train_gate.h"
 
@@ -129,6 +130,23 @@ TEST(TrainGate, ScalesToFiveTrains) {
   auto result = mc::check_invariant(tg.system, mutual_exclusion(tg));
   EXPECT_TRUE(result.holds());
   EXPECT_GT(result.stats.states_stored, 10000u);
+}
+
+TEST(TrainGate, FiveTrainsSearchCountsArePinned) {
+  // The zone-graph search is deterministic: any change to successor
+  // generation, the store's inclusion scan or zone canonicalization that
+  // alters the search shows up here as a count change.
+  auto tg = models::make_train_gate(5);
+  core::StatsObserver obs;
+  mc::ReachOptions opts;
+  opts.record_trace = false;
+  opts.observer = &obs;
+  auto result = mc::check_invariant(tg.system, mutual_exclusion(tg), opts);
+  EXPECT_TRUE(result.holds());
+  EXPECT_EQ(result.stats.states_stored, 67486u);
+  EXPECT_EQ(result.stats.states_explored, 67396u);
+  EXPECT_EQ(result.stats.transitions, 125420u);
+  EXPECT_EQ(obs.store_metrics().covered, 7630u);
 }
 
 }  // namespace

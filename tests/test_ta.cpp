@@ -10,12 +10,14 @@
 #include <string>
 #include <unordered_set>
 
+#include "core/state_store.h"
 #include "models/brp.h"
 #include "models/train_gate.h"
 #include "random_ta.h"
 #include "ta/concrete.h"
 #include "ta/digital.h"
 #include "ta/symbolic.h"
+#include "ta/traits.h"
 
 namespace {
 
@@ -219,31 +221,38 @@ TEST(Digital, UnitStepsRespectInvariants) {
   MoveList moves;
   sem.enabled_moves(s, moves);
   EXPECT_TRUE(moves.empty());
-  ASSERT_TRUE(sem.can_delay(s));
-  s = sem.delay_one(sem.delay_one(s));  // x = 2
+  for (int i = 0; i < 2; ++i) {  // x = 2
+    auto next = sem.delay(s, moves);
+    ASSERT_TRUE(next.has_value()) << "step " << i;
+    s = std::move(*next);
+  }
   sem.enabled_moves(s, moves);
   ASSERT_EQ(moves.size(), 1u);
   DigitalState busy = sem.apply(s, moves[0]);
   EXPECT_EQ(busy.locs[0], 1);
   // Invariant x<=5: can delay 3 more times, then no further.
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(sem.can_delay(busy)) << "step " << i;
-    busy = sem.delay_one(busy);
+    auto next = sem.delay(busy, moves);
+    ASSERT_TRUE(next.has_value()) << "step " << i;
+    busy = std::move(*next);
   }
-  EXPECT_FALSE(sem.can_delay(busy));
+  EXPECT_FALSE(sem.delay(busy, moves).has_value());
 }
 
 TEST(Digital, ClockCappingIsStable) {
   System sys = make_pair_system();
   DigitalSemantics sem(sys);
   DigitalState s = sem.initial();
+  MoveList moves;
   for (int i = 0; i < 100; ++i) {
-    if (!sem.can_delay(s)) break;
-    s = sem.delay_one(s);
+    auto next = sem.delay(s, moves);
+    ASSERT_TRUE(next.has_value()) << "no invariant in Idle: step " << i;
+    s = std::move(*next);
   }
   EXPECT_LE(s.clocks[1], sem.cap(1));
-  DigitalState again = sem.delay_one(s);
-  EXPECT_EQ(again.clocks[1], s.clocks[1]) << "capped clock must not grow";
+  auto again = sem.delay(s, moves);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->clocks[1], s.clocks[1]) << "capped clock must not grow";
 }
 
 TEST(Digital, RejectsDiagonalConstraints) {
@@ -507,9 +516,8 @@ void check_against_oracle(const System& sys, const std::string& name,
         if (seen.insert(next).second) work.push_back(std::move(next));
       });
     }
-    if (dig.can_delay(s)) {
-      DigitalState next = dig.delay_one(s);
-      if (seen.insert(next).second) work.push_back(std::move(next));
+    if (auto next = dig.delay(s, list)) {
+      if (seen.insert(*next).second) work.push_back(std::move(*next));
     }
   }
 }
@@ -589,6 +597,188 @@ TEST(EnabledMoves, CommittedFilterRollsBackBroadcast) {
   EXPECT_EQ(list.parts.size(), 2u);
   EXPECT_EQ(list[0][0], (MovePart{r0, 1}));
   EXPECT_TRUE(sem.delay_forbidden(locs, vars, list));
+}
+
+// ---------------------------------------------------------------------------
+// SuccessorBuffer oracle: the caller-owned successor computation against the
+// one it replaced, which built a fresh state copy per move and returned a
+// vector. The reference below is that computation, written against the
+// semantics' public pieces.
+// ---------------------------------------------------------------------------
+
+std::vector<SymTransition> reference_successors(const SymbolicSemantics& sem,
+                                                const SymState& s) {
+  const System& sys = sem.system();
+  MoveList moves;
+  sem.enabled_moves(s.locs, s.vars, moves);
+  std::vector<SymTransition> result;
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    SymState next = s;
+    bool ok = true;
+    for (const auto& [p, e] : moves[i]) {
+      const Edge& edge = sys.process(p).edges.at(static_cast<std::size_t>(e));
+      if (!SymbolicSemantics::constrain_guard(edge, next.zone)) ok = false;
+      if (!ok) break;
+    }
+    if (!ok) continue;
+    for (const auto& [p, e] : moves[i]) {
+      const Edge& edge = sys.process(p).edges.at(static_cast<std::size_t>(e));
+      next.locs[p] = edge.target;
+      for (const auto& [clock, value] : edge.resets) next.zone.reset(clock, value);
+      if (edge.update) {
+        edge.update(next.vars);
+        sys.vars().check_bounds(next.vars);
+      }
+    }
+    if (!sem.constrain_invariant(next.locs, next.zone)) continue;
+    if (!sem.delay_forbidden(next.locs, next.vars)) {
+      next.zone.up();
+      if (!sem.constrain_invariant(next.locs, next.zone)) continue;
+    }
+    next.zone.extrapolate_max_bounds(sem.max_constants());
+    if (next.zone.is_empty()) continue;
+    result.push_back(SymTransition{moves.move(i), std::move(next)});
+  }
+  return result;
+}
+
+bool same_state(const SymState& a, const SymState& b) {
+  return a.locs == b.locs && a.vars == b.vars && a.zone == b.zone;
+}
+
+struct BufferTally {
+  std::size_t states = 0;
+  std::size_t successors = 0;
+  std::size_t shrinks = 0;  ///< expansions with fewer successors than the last
+  std::size_t mismatches = 0;
+  std::string first;
+};
+
+/// Explores up to `max_states` states of `sys`'s zone graph (exact dedup in
+/// a pooled store), expanding every state into the one shared `buf` and
+/// materializing it into the one shared `visited`. Checks the buffer against
+/// the reference and against the vector wrapper, and state(id, out) against
+/// state(id).
+void check_buffer(const System& sys, const std::string& name,
+                  std::size_t max_states, SuccessorBuffer& buf,
+                  SymState& visited, BufferTally& tally) {
+  const SymbolicSemantics sem(sys);
+  quanta::core::StateStore<SymState> store;
+  std::deque<std::int32_t> work;
+  auto add = [&](const SymState& s) {
+    const auto in = store.intern(s);
+    if (in.inserted && store.size() <= max_states) work.push_back(in.id);
+  };
+  auto fail = [&](const std::string& what) {
+    if (tally.mismatches++ == 0) {
+      tally.first = name + " state " + std::to_string(tally.states) + " (" +
+                    sem.state_to_string(visited) + "): " + what;
+    }
+  };
+  add(sem.initial());
+  std::size_t last = 0;
+  while (!work.empty()) {
+    const std::int32_t id = work.front();
+    work.pop_front();
+    ++tally.states;
+    store.state(id, visited);
+    if (!same_state(visited, store.state(id))) fail("state(id, out) differs");
+
+    sem.successors(visited, buf);
+    const std::vector<SymTransition> want = reference_successors(sem, visited);
+    const std::vector<SymTransition> wrapped = sem.successors(visited);
+    if (buf.size() < last) ++tally.shrinks;
+    last = buf.size();
+    tally.successors += buf.size();
+    if (buf.size() != want.size() || wrapped.size() != want.size()) {
+      fail("successor count " + std::to_string(buf.size()) + " / " +
+           std::to_string(wrapped.size()) + ", want " +
+           std::to_string(want.size()));
+      continue;
+    }
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      const MoveSpan m = buf.move(k);
+      const std::vector<MovePart> parts(m.begin(), m.end());
+      if (parts != want[k].move.participants) fail("move " + std::to_string(k));
+      if (!same_state(buf.state(k), want[k].state)) {
+        fail("state " + std::to_string(k));
+      }
+      if (wrapped[k].move.participants != want[k].move.participants ||
+          !same_state(wrapped[k].state, want[k].state)) {
+        fail("wrapped transition " + std::to_string(k));
+      }
+    }
+    for (std::size_t k = 0; k < buf.size(); ++k) add(buf.state(k));
+  }
+}
+
+TEST(SuccessorBuffer, MatchesReferenceOnRandomNetworks) {
+  quanta::common::Rng rng(20261019);
+  // One buffer and one visited state across all networks, whose process
+  // and clock counts differ: slots are refilled across dimensions.
+  SuccessorBuffer buf;
+  SymState visited;
+  BufferTally plain;
+  BufferTally rich;
+  for (int i = 0; i < 200; ++i) {
+    const System sys = quanta::testing_models::random_ta(rng, 2 + i % 3);
+    check_buffer(sys, "random " + std::to_string(i), 300, buf, visited, plain);
+  }
+  for (int i = 0; i < 100; ++i) {
+    const System sys = quanta::testing_models::random_ta(rng, 2 + i % 3,
+                                                         /*zero_delay_rules=*/true);
+    check_buffer(sys, "random zero-delay " + std::to_string(i), 300, buf,
+                 visited, rich);
+  }
+  EXPECT_EQ(plain.mismatches, 0u) << plain.first;
+  EXPECT_EQ(rich.mismatches, 0u) << rich.first;
+  // The networks must exercise the buffer: many states, and many
+  // expansions that leave stale slots behind a shorter successor list.
+  EXPECT_GT(plain.states, 4000u);
+  EXPECT_GT(plain.successors, 10000u);
+  EXPECT_GT(plain.shrinks, 1000u);
+  EXPECT_GT(rich.states, 500u);
+  EXPECT_GT(rich.successors, 800u);
+}
+
+TEST(SuccessorBuffer, MatchesReferenceOnTrainGateAndZeroDelayNetwork) {
+  SuccessorBuffer buf;
+  SymState visited;
+  BufferTally tally;
+  check_buffer(quanta::models::make_train_gate(3).system, "train-gate 3",
+               100000, buf, visited, tally);
+  const std::size_t train_gate_states = tally.states;
+  check_buffer(quanta::testing_models::broadcast_committed_urgent(),
+               "broadcast/committed/urgent", 100000, buf, visited, tally);
+  EXPECT_EQ(tally.mismatches, 0u) << tally.first;
+  EXPECT_GT(train_gate_states, 700u);
+  EXPECT_GT(tally.shrinks, 200u);
+}
+
+TEST(SuccessorBuffer, ReuseLeavesNoStaleSuccessor) {
+  // Expand a state with several successors, then one with none, then the
+  // first again: each call reports exactly its own successors.
+  auto tg = quanta::models::make_train_gate(4);
+  const SymbolicSemantics sem(tg.system);
+  SuccessorBuffer buf;
+  const SymState init = sem.initial();
+  sem.successors(init, buf);
+  const std::size_t wide = buf.size();
+  ASSERT_GE(wide, 2u);
+  const std::vector<SymTransition> want = reference_successors(sem, init);
+
+  SymState stuck = init;
+  stuck.zone.set(0, 0, quanta::dbm::bound_lt(-1));  // the empty zone
+  ASSERT_TRUE(stuck.zone.is_empty());
+  sem.successors(stuck, buf);  // no move leaves an empty zone
+  EXPECT_EQ(buf.size(), 0u);
+  EXPECT_GE(buf.states.size(), wide) << "slots are kept for reuse";
+
+  sem.successors(init, buf);
+  ASSERT_EQ(buf.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_TRUE(same_state(buf.state(k), want[k].state)) << k;
+  }
 }
 
 }  // namespace
