@@ -13,6 +13,7 @@
 #include <new>
 
 #include "bip/engine.h"
+#include "core/observer.h"
 #include "dbm/federation.h"
 #include "mc/reachability.h"
 #include "mdp/value_iteration.h"
@@ -54,10 +55,11 @@ namespace {
 
 std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
 
-/// Heap allocations per unit of work over the timed loop.
-benchmark::Counter per(std::uint64_t allocs_in_loop, std::uint64_t units) {
+/// A count (heap allocations over the timed loop, store work) per unit of
+/// work.
+benchmark::Counter per(std::uint64_t count, std::uint64_t units) {
   return benchmark::Counter(units == 0 ? 0.0
-                                       : static_cast<double>(allocs_in_loop) /
+                                       : static_cast<double>(count) /
                                              static_cast<double>(units));
 }
 
@@ -170,6 +172,19 @@ void BM_CheckInvariantTrainGate(benchmark::State& state) {
     ++queries;
   }
   state.counters["allocs_per_query"] = per(allocs() - before, queries);
+  // Exact work counters of the store, from one more query outside the
+  // timed loop: zone compares and walked block entries per intern call
+  // (one per generated successor, plus the initial state), and the store's
+  // memory_bytes() per stored state.
+  core::StatsObserver obs;
+  opts.observer = &obs;
+  mc::check_invariant(tg.system, mutex, opts);
+  const core::StoreMetrics& m = obs.store_metrics();
+  const auto inserts = static_cast<std::uint64_t>(obs.stats().transitions + 1);
+  state.counters["zone_compares_per_insert"] = per(m.zone_compares, inserts);
+  state.counters["steps_per_insert"] =
+      per(m.zone_compares + m.signature_rejects, inserts);
+  state.counters["bytes_per_state"] = per(m.memory_bytes, m.stored);
 }
 BENCHMARK(BM_CheckInvariantTrainGate)->Arg(5)->Unit(benchmark::kMillisecond);
 

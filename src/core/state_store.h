@@ -31,18 +31,51 @@
 //
 // Signature-filtered inclusion scan: when the traits define the optional
 // signature hook (core::SignedTraits — see traits.h), an inclusion store
-// keeps a 16-byte signature per state and checks it right after the covered
-// bit, before the partition test and the zone compare. A rejecting signature
-// proves the two states incomparable, so the skip never changes an intern
-// result, an id or the covered journal; it only saves the loads of the
-// stored record and its pooled rows for most of a long chain.
+// keeps a 32-byte signature for every live state and tests it before the
+// partition test and the zone compare. A rejecting signature proves the two
+// states incomparable, so the skip never changes an intern result, an id or
+// the covered journal; it only saves the loads of the stored record and its
+// pooled rows.
+//
+// Chain layout. Both policies hash the key (full state or discrete
+// partition) into an open-addressed table of chains, one chain per distinct
+// key hash, but they lay chains out differently:
+//   * exact stores link the members of a chain through a per-state next_
+//     column and keep the key hash per state. Their chains are hash-collision
+//     chains of length ~1, so a walk is one or two loads, and a block per
+//     chain would cost memory (and, on the digital MDP builds, time) for
+//     nothing.
+//   * inclusion stores give each chain (= one discrete partition) a block of
+//     its LIVE members in insertion order — (signature, id) entries, or
+//     bare ids for unsigned traits — so a scan streams over contiguous
+//     signatures and never walks a tombstone. When a scan tombstones a
+//     member it removes it from the block by a stable in-place compaction
+//     during the same walk (the kStored early return closes the gap too),
+//     so the live order, the first subsuming zone and every count are those
+//     of a walk over all members that skips covered ones. The chain record
+//     keeps the key hash and the number of members ever linked (max_chain).
+//     All blocks live in one store-owned arena of chunks that never move:
+//     block capacities are kMinBlock << k, a full block moves to a block of
+//     the next size class, and the block it leaves goes on its class's free
+//     list for the next chain that grows to that size. Chunks double up to
+//     a fixed size, so a search makes a few dozen arena allocations, none
+//     per partition, and never reallocates or compacts one.
+//     Blocks and signatures are derived data: restore() rebuilds them from
+//     the states and covered bits, and nothing of them is persisted.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <concepts>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <optional>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -62,6 +95,9 @@ struct StoreMetrics {
   std::size_t zone_compares = 0;      ///< inclusion compares of two states
   std::size_t signature_rejects = 0;  ///< entries skipped by signature
   std::size_t memory_bytes = 0;  ///< StateStore::memory_bytes() at snapshot
+  /// Allocated bytes of the inclusion blocks' arena beyond the live entries
+  /// memory_bytes counts: block capacity slack and relocated-away blocks.
+  std::size_t block_slack_bytes = 0;
   store::PoolMetrics pool{};  ///< payload-pool snapshot (zero when unpooled)
 
   double load_factor() const {
@@ -111,6 +147,34 @@ class StateStore {
     bool inserted;  ///< false: deduplicated/subsumed by a stored state
   };
 
+ private:
+  /// One live block entry: the member's signature, when signed, and id.
+  struct SignedEntry {
+    Signature sig;
+    std::int32_t id;
+  };
+  struct PlainEntry {
+    std::int32_t id;
+  };
+  using Entry = std::conditional_t<kSigned, SignedEntry, PlainEntry>;
+
+  /// One inclusion chain: its key hash, its block of live members in the
+  /// arena, and the number of members ever linked (covered ones included).
+  struct Chain {
+    std::size_t hash;
+    Entry* block;          ///< the live members, in insertion order
+    std::uint32_t size;    ///< live members
+    std::uint32_t cap;     ///< entries reserved for the block
+    std::uint32_t members;
+  };
+
+ public:
+  /// Bytes one inclusion chain record adds to memory_bytes().
+  static constexpr std::size_t kChainBytes = sizeof(Chain);
+  /// Bytes of one live block entry of an inclusion store: its signature,
+  /// when signed, and its id.
+  static constexpr std::size_t kBlockEntryBytes = sizeof(Entry);
+
   explicit StateStore(Options opts = {})
       : opts_(opts), pool_(make_pool_config(opts)) {
     if constexpr (!Traits::kSupportsInclusion) {
@@ -128,50 +192,10 @@ class StateStore {
     requires std::same_as<std::remove_cvref_t<T>, S>
   Interned intern(T&& s) {
     common::FaultInjector::site("core.state_store.intern");
-    const std::size_t h = key_hash(s);
-    const Signature sig = signature_of(s);
-    std::size_t slot = probe_slot(h);
-    std::int32_t tail = kEmpty;
-    std::size_t chain = 0;
-    // Walk the chain of states with this key hash, oldest first — the scan
-    // order determines which stored zone subsumes first, so keep it
-    // deterministic and identical to the historical per-engine buckets.
-    for (std::int32_t id = slots_[slot]; id != kEmpty; id = next_[toIdx(id)]) {
-      tail = id;
-      ++chain;
-      if (opts_.inclusion) {
-        if constexpr (Traits::kSupportsInclusion) {
-          if (covered_[toIdx(id)]) continue;
-          if constexpr (kSigned) {
-            if (signature_rejects(sigs_[toIdx(id)], sig)) {
-              ++signature_rejects_;
-              continue;
-            }
-          }
-          if (!stored_same_partition(states_[toIdx(id)], s)) continue;
-          ++zone_compares_;
-          switch (stored_compare(states_[toIdx(id)], s)) {
-            case Subsumes::kStored:
-              return {id, false};
-            case Subsumes::kIncoming:
-              if (opts_.tombstone_covered) {
-                covered_[toIdx(id)] = 1;
-                ++covered_count_;
-                covered_journal_.push_back(id);
-              }
-              break;
-            case Subsumes::kNone:
-              break;
-          }
-        }
-      } else {
-        if (stored_equal(states_[toIdx(id)], s)) return {id, false};
-      }
+    if constexpr (Traits::kSupportsInclusion) {
+      if (opts_.inclusion) return intern_inclusion(std::forward<T>(s));
     }
-    const std::int32_t id = static_cast<std::int32_t>(states_.size());
-    push_state(std::forward<T>(s), h, sig);
-    link_state(id, slot, tail, chain + 1);
-    return {id, true};
+    return intern_exact(std::forward<T>(s));
   }
 
   /// The state behind an id. Pooled stores materialize a fresh S by value
@@ -214,13 +238,21 @@ class StateStore {
   /// interning bookkeeping, the hash table, the covered journal, a standing
   /// allowance for the transient head array a rehash allocates (so a rehash
   /// mid-intern cannot overshoot a Budget ceiling that was checked against
-  /// this value), and — for pooled stores — the pool's resident arena and
+  /// this value), an inclusion store's chain records and live block
+  /// entries, and — for pooled stores — the pool's resident arena and
   /// bookkeeping. Feeds the memory ceiling of common::Budget; maintained
-  /// incrementally so reading it is cheap.
+  /// incrementally so reading it is cheap. Every term is a function of the
+  /// intern sequence's outcome alone, so a restored store reports the same
+  /// value; the blocks' capacity slack depends on the tombstoning history
+  /// and is reported separately (StoreMetrics::block_slack_bytes).
   std::size_t memory_bytes() const {
     std::size_t n = bytes_ + slots_.capacity() * sizeof(std::int32_t) +
                     covered_journal_.capacity() * sizeof(std::int32_t) +
                     occupied_ * sizeof(std::int32_t);
+    if (opts_.inclusion) {
+      n += chains_.size() * kChainBytes +
+           (states_.size() - covered_count_) * kBlockEntryBytes;
+    }
     if constexpr (kPooled) n += pool_.memory_bytes();
     return n;
   }
@@ -232,42 +264,49 @@ class StateStore {
 
   /// Rebuilds a store from snapshot data (src/ckpt): the states in their
   /// original insertion order plus the covered/tombstone bits. The hash
-  /// table is re-derived rather than persisted — chain membership and order
-  /// depend only on (key hash, insertion order), and the rehash trajectory
-  /// only on the sequence of distinct key hashes, so the rebuilt store is
-  /// structurally identical to the one that was snapshotted and every
-  /// subsequent intern() behaves bit-identically to the uninterrupted run.
-  /// Pooled stores re-intern every payload into a fresh pool here; the pool
-  /// layout is a pure function of the intern sequence, so it too matches the
-  /// pool the snapshotted store would have carried.
+  /// table, the chains and the blocks are re-derived rather than persisted —
+  /// chain membership and order depend only on (key hash, insertion order),
+  /// a block holds its chain's uncovered members in that order, and the
+  /// rehash trajectory depends only on the sequence of distinct key hashes,
+  /// so every subsequent intern() behaves bit-identically to the
+  /// uninterrupted run (only the blocks' capacities may differ). Pooled
+  /// stores re-intern every payload into a fresh pool here; the pool layout
+  /// is a pure function of the intern sequence, so it too matches the pool
+  /// the snapshotted store would have carried.
   static StateStore restore(Options opts, std::vector<S> states,
                             std::vector<std::uint8_t> covered) {
     assert(states.size() == covered.size());
     StateStore store(opts);
     const std::size_t n = states.size();
     store.states_.reserve(n);
-    store.hashes_.reserve(n);
-    store.next_.reserve(n);
     store.covered_.reserve(n);
-    if (store.keeps_signatures()) store.sigs_.reserve(n);
+    if (!opts.inclusion) {
+      store.hashes_.reserve(n);
+      store.next_.reserve(n);
+    }
     for (std::size_t i = 0; i < n; ++i) {
+      const auto id = static_cast<std::int32_t>(i);
       const std::size_t h = store.key_hash(states[i]);
       const Signature sig = store.signature_of(states[i]);
-      store.push_state(std::move(states[i]), h, sig);
+      store.push_state(std::move(states[i]));
       if (covered[i] != 0) {
         store.covered_[i] = 1;
         ++store.covered_count_;
-        store.covered_journal_.push_back(static_cast<std::int32_t>(i));
+        store.covered_journal_.push_back(id);
       }
       const std::size_t slot = store.probe_slot(h);
+      if (opts.inclusion) {
+        store.link_member(id, slot, h, sig, /*live=*/covered[i] == 0);
+        continue;
+      }
       std::int32_t tail = kEmpty;
       std::size_t chain = 0;
-      for (std::int32_t id = store.slots_[slot]; id != kEmpty;
-           id = store.next_[toIdx(id)]) {
-        tail = id;
+      for (std::int32_t m = store.slots_[slot]; m != kEmpty;
+           m = store.next_[toIdx(m)]) {
+        tail = m;
         ++chain;
       }
-      store.link_state(static_cast<std::int32_t>(i), slot, tail, chain + 1);
+      store.link_exact(id, h, slot, tail, chain + 1);
     }
     return store;
   }
@@ -282,20 +321,26 @@ class StateStore {
     m.zone_compares = zone_compares_;
     m.signature_rejects = signature_rejects_;
     m.memory_bytes = memory_bytes();
+    if (opts_.inclusion) {
+      m.block_slack_bytes =
+          chunk_entries_ * sizeof(Entry) -
+          (states_.size() - covered_count_) * kBlockEntryBytes;
+    }
     if constexpr (kPooled) m.pool = pool_.metrics();
     return m;
   }
 
-  /// Brute-force recomputation of the longest same-hash chain, walking every
-  /// chain from its head. metrics() reports the incrementally-maintained
-  /// value instead; this exists so tests can pin the two against each other.
+  /// Brute-force recomputation of the longest same-hash chain: re-hashes
+  /// every stored state and counts the states per key hash. metrics()
+  /// reports the incrementally-maintained value instead; this exists so
+  /// tests can pin the two against each other.
   std::size_t scan_max_chain() const {
+    std::unordered_map<std::size_t, std::size_t> members;
     std::size_t max_chain = 0;
-    for (std::int32_t head : slots_) {
-      if (head == kEmpty) continue;
-      std::size_t chain = 0;
-      for (std::int32_t id = head; id != kEmpty; id = next_[toIdx(id)]) ++chain;
-      if (chain > max_chain) max_chain = chain;
+    for (std::size_t i = 0; i < states_.size(); ++i) {
+      const std::size_t n =
+          ++members[key_hash(state(static_cast<std::int32_t>(i)))];
+      if (n > max_chain) max_chain = n;
     }
     return max_chain;
   }
@@ -303,6 +348,11 @@ class StateStore {
  private:
   static constexpr std::int32_t kEmpty = -1;
   static constexpr std::size_t kInitialSlots = 1u << 10;
+  static constexpr std::uint32_t kMinBlock = 4;
+  /// Entries of the first arena chunk, and the size the chunks double to
+  /// and then keep (a larger block gets a chunk of its own).
+  static constexpr std::size_t kMinChunk = 64;
+  static constexpr std::size_t kMaxChunk = 8192;
 
   static std::size_t toIdx(std::int32_t id) {
     return static_cast<std::size_t>(id);
@@ -315,25 +365,104 @@ class StateStore {
     return {};
   }
 
+  /// Exact dedup: walk the linked chain of states with this key hash, oldest
+  /// first, for an equal state.
+  template <typename T>
+  Interned intern_exact(T&& s) {
+    const std::size_t h = Traits::hash(s);
+    const std::size_t slot = probe_slot(h);
+    std::int32_t tail = kEmpty;
+    std::size_t chain = 0;
+    for (std::int32_t id = slots_[slot]; id != kEmpty; id = next_[toIdx(id)]) {
+      tail = id;
+      ++chain;
+      if (stored_equal(states_[toIdx(id)], s)) return {id, false};
+    }
+    const auto id = static_cast<std::int32_t>(states_.size());
+    push_state(std::forward<T>(s));
+    link_exact(id, h, slot, tail, chain + 1);
+    return {id, true};
+  }
+
+  /// Inclusion dedup: scan the partition's block of live members, oldest
+  /// first — the scan order determines which stored zone subsumes first —
+  /// and drop every member the incoming state tombstones from the block in
+  /// the same pass. `gap` counts the members dropped so far; each kept
+  /// member moves down by it, so the block stays in insertion order. The
+  /// loop keeps its bounds and counters in locals: the block writes go
+  /// through byte pointers, which would otherwise force reloads.
+  template <typename T>
+  Interned intern_inclusion(T&& s) {
+    const std::size_t h = Traits::partition_hash(s);
+    const Signature sig = signature_of(s);
+    const std::size_t slot = probe_slot(h);
+    if (slots_[slot] != kEmpty) {
+      Chain& c = chains_[toIdx(slots_[slot])];
+      Entry* block = c.block;
+      const std::uint32_t size = c.size;
+      std::uint32_t gap = 0;
+      std::size_t rejects = 0;
+      std::size_t compares = 0;
+      for (std::uint32_t r = 0; r < size; ++r) {
+        if constexpr (kSigned) {
+          if (signature_rejects(block[r].sig, sig)) {
+            ++rejects;
+            if (gap != 0) block[r - gap] = block[r];
+            continue;
+          }
+        }
+        const std::int32_t id = block[r].id;
+        const Stored& st = states_[toIdx(id)];
+        if (stored_same_partition(st, s)) {
+          ++compares;
+          const Subsumes rel = stored_compare(st, s);
+          if (rel == Subsumes::kStored) {
+            if (gap != 0) {
+              for (std::uint32_t k = r; k < size; ++k) {
+                block[k - gap] = block[k];
+              }
+            }
+            c.size = size - gap;
+            signature_rejects_ += rejects;
+            zone_compares_ += compares;
+            return {id, false};
+          }
+          if (rel == Subsumes::kIncoming && opts_.tombstone_covered) {
+            covered_[toIdx(id)] = 1;
+            ++covered_count_;
+            covered_journal_.push_back(id);
+            ++gap;
+            continue;
+          }
+        }
+        if (gap != 0) block[r - gap] = block[r];
+      }
+      c.size = size - gap;
+      signature_rejects_ += rejects;
+      zone_compares_ += compares;
+    }
+    const auto id = static_cast<std::int32_t>(states_.size());
+    push_state(std::forward<T>(s));
+    link_member(id, slot, h, sig, /*live=*/true);
+    return {id, true};
+  }
+
   /// Bytes one interned record adds to the store: the in-place object, its
   /// traits-reported heap payload (unpooled only — pooled payload is owned
-  /// and counted by the pool), and the per-state bookkeeping columns
-  /// (hashes_, next_, covered_, and sigs_ when kept).
+  /// and counted by the pool), and the per-state bookkeeping columns of the
+  /// store's layout.
   std::size_t stored_bytes(const Stored& st) const {
-    std::size_t n = sizeof(Stored) + sizeof(std::size_t) +
-                    sizeof(std::int32_t) + sizeof(std::uint8_t);
-    if (keeps_signatures()) n += sizeof(Signature);
+    // The covered flag, plus the key hash and chain link of an exact store.
+    std::size_t n = sizeof(Stored) + sizeof(std::uint8_t);
+    if (!opts_.inclusion) n += sizeof(std::size_t) + sizeof(std::int32_t);
     if constexpr (requires { { Traits::memory_bytes(st) } -> std::convertible_to<std::size_t>; }) {
       n += Traits::memory_bytes(st);
     }
     return n;
   }
 
-  /// Signatures are kept by inclusion stores over signed traits only.
-  bool keeps_signatures() const { return kSigned && opts_.inclusion; }
-
   /// The incoming state's signature, or an unused zero one when none is
-  /// kept.
+  /// kept (exact stores, unsigned traits).
   Signature signature_of(const S& s) const {
     if constexpr (kSigned) {
       if (opts_.inclusion) return Traits::signature(s);
@@ -373,36 +502,123 @@ class StateStore {
     }
   }
 
-  /// Appends the state record and its bookkeeping columns (not yet linked
-  /// into any chain).
+  /// Appends the state record and its covered flag (not yet linked into
+  /// any chain).
   template <typename T>
-  void push_state(T&& s, std::size_t h, const Signature& sig) {
+  void push_state(T&& s) {
     if constexpr (kPooled) {
       states_.push_back(Traits::pool(pool_, s));
     } else {
       states_.push_back(std::forward<T>(s));
     }
     bytes_ += stored_bytes(states_.back());
-    hashes_.push_back(h);
-    next_.push_back(kEmpty);
     covered_.push_back(0);
-    if (keeps_signatures()) sigs_.push_back(sig);
   }
 
-  /// Links a freshly pushed state into its chain: appended after `tail`, or
-  /// installed as the head of a new chain. `len` is the chain's length with
-  /// the new state — the caller walked the whole chain to find its tail —
-  /// and chains never shrink, so max_chain_ is a cheap monotone maximum.
-  void link_state(std::int32_t id, std::size_t slot, std::int32_t tail,
-                  std::size_t len) {
+  /// Installs a new chain head in `slot`, growing the table at half load.
+  void install_head(std::size_t slot, std::int32_t head) {
+    slots_[slot] = head;
+    ++occupied_;
+    if (occupied_ * 2 >= slots_.size()) rehash(slots_.size() * 2);
+  }
+
+  void note_chain_length(std::size_t len) {
     if (len > max_chain_) max_chain_ = len;
+  }
+
+  /// Exact layout: links a freshly pushed state into its chain, appended
+  /// after `tail` or installed as the head of a new chain. `len` is the
+  /// chain's length with the new state — the caller walked the whole chain
+  /// to find its tail — and chains never shrink, so max_chain_ is a cheap
+  /// monotone maximum.
+  void link_exact(std::int32_t id, std::size_t h, std::size_t slot,
+                  std::int32_t tail, std::size_t len) {
+    hashes_.push_back(h);
+    next_.push_back(kEmpty);
+    note_chain_length(len);
     if (tail != kEmpty) {
       next_[toIdx(tail)] = id;
     } else {
-      slots_[slot] = id;
-      ++occupied_;
-      if (occupied_ * 2 >= slots_.size()) rehash(slots_.size() * 2);
+      install_head(slot, id);
     }
+  }
+
+  /// Inclusion layout: counts a freshly pushed state as a member of the
+  /// chain for `h` (creating the chain in `slot` if it has none) and, when
+  /// it is live, appends it to the chain's block.
+  void link_member(std::int32_t id, std::size_t slot, std::size_t h,
+                   const Signature& sig, bool live) {
+    std::int32_t ci = slots_[slot];
+    if (ci == kEmpty) {
+      ci = static_cast<std::int32_t>(chains_.size());
+      chains_.push_back({h, nullptr, 0, 0, 0});
+      install_head(slot, ci);
+    }
+    Chain& c = chains_[toIdx(ci)];
+    note_chain_length(++c.members);
+    if (!live) return;
+    if (c.size == c.cap) grow_block(c);
+    Entry& e = c.block[c.size];
+    e.id = id;
+    if constexpr (kSigned) e.sig = sig;
+    ++c.size;
+  }
+
+  /// Doubles a full block's capacity: copies its entries into a block of
+  /// the next size class and frees the old one to its class.
+  void grow_block(Chain& c) {
+    const std::uint32_t cap = c.cap == 0 ? kMinBlock : 2 * c.cap;
+    Entry* block = allocate_block(cap);
+    if (c.cap != 0) {
+      std::copy_n(c.block, c.size, block);
+      release_block(c.block, c.cap);
+    }
+    c.block = block;
+    c.cap = cap;
+  }
+
+  /// Size class of a block capacity (kMinBlock << class).
+  static std::size_t size_class(std::uint32_t cap) {
+    return static_cast<std::size_t>(std::countr_zero(cap / kMinBlock));
+  }
+
+  /// A block of `cap` entries: the most recently freed one of its class,
+  /// or fresh space from the current chunk. A chunk too small for the
+  /// block is left behind and a new one opened, twice the previous size up
+  /// to kMaxChunk (or exactly `cap`, when that is larger).
+  Entry* allocate_block(std::uint32_t cap) {
+    Entry*& head = free_blocks_[size_class(cap)];
+    if (head != nullptr) {
+      Entry* block = head;
+      std::memcpy(&head, static_cast<const void*>(block), sizeof head);
+      return block;
+    }
+    if (chunk_room_ < cap) {
+      const std::size_t grown =
+          chunks_.empty() ? kMinChunk : std::min(kMaxChunk, 2 * last_chunk_);
+      last_chunk_ = std::max<std::size_t>(grown, cap);
+      chunks_.push_back(std::make_unique_for_overwrite<Entry[]>(last_chunk_));
+      chunk_cursor_ = chunks_.back().get();
+      chunk_room_ = last_chunk_;
+      chunk_entries_ += last_chunk_;
+    }
+    Entry* block = chunk_cursor_;
+    chunk_cursor_ += cap;
+    chunk_room_ -= cap;
+    return block;
+  }
+
+  /// Returns a block to its class's free list, linked through its first
+  /// bytes (every block has room for a pointer).
+  void release_block(Entry* block, std::uint32_t cap) {
+    Entry*& head = free_blocks_[size_class(cap)];
+    std::memcpy(static_cast<void*>(block), &head, sizeof head);
+    head = block;
+  }
+
+  /// The key hash of the chain a table slot points at.
+  std::size_t head_hash(std::int32_t head) const {
+    return opts_.inclusion ? chains_[toIdx(head)].hash : hashes_[toIdx(head)];
   }
 
   /// Linear probing; returns the slot holding the chain for `h`, or the
@@ -410,7 +626,7 @@ class StateStore {
   std::size_t probe_slot(std::size_t h) const {
     const std::size_t mask = slots_.size() - 1;
     std::size_t i = h & mask;
-    while (slots_[i] != kEmpty && hashes_[toIdx(slots_[i])] != h) {
+    while (slots_[i] != kEmpty && head_hash(slots_[i]) != h) {
       i = (i + 1) & mask;
     }
     return i;
@@ -425,7 +641,7 @@ class StateStore {
     slots_.assign(new_slots, kEmpty);
     const std::size_t mask = slots_.size() - 1;
     for (std::int32_t head : heads) {
-      std::size_t i = hashes_[toIdx(head)] & mask;
+      std::size_t i = head_hash(head) & mask;
       while (slots_[i] != kEmpty) i = (i + 1) & mask;
       slots_[i] = head;
     }
@@ -434,12 +650,25 @@ class StateStore {
   Options opts_;
   store::ZonePool pool_;  ///< payload pool; inert when !kPooled
   std::vector<Stored> states_;
-  std::vector<std::size_t> hashes_;   ///< key hash per state
-  std::vector<std::int32_t> next_;    ///< same-hash chain links
   std::vector<std::uint8_t> covered_;
   std::vector<std::int32_t> covered_journal_;  ///< tombstones in flip order
-  std::vector<Signature> sigs_;  ///< per-state signature (keeps_signatures)
-  std::vector<std::int32_t> slots_;   ///< open-addressed table of chain heads
+  /// Open-addressed table of chain heads: a state id (exact) or an index
+  /// into chains_ (inclusion).
+  std::vector<std::int32_t> slots_;
+  // Exact layout.
+  std::vector<std::size_t> hashes_;  ///< key hash per state
+  std::vector<std::int32_t> next_;   ///< same-hash chain links
+  // Inclusion layout.
+  std::vector<Chain> chains_;
+  // The block arena: chunks that never move, carved front to back into
+  // blocks of kMinBlock << k entries; a freed block waits on its class's
+  // free list for the next block of that size.
+  std::vector<std::unique_ptr<Entry[]>> chunks_;
+  Entry* chunk_cursor_ = nullptr;  ///< first unused entry of the last chunk
+  std::size_t chunk_room_ = 0;     ///< unused entries of the last chunk
+  std::size_t last_chunk_ = 0;     ///< entries of the last chunk
+  std::size_t chunk_entries_ = 0;  ///< entries of all chunks
+  std::array<Entry*, 32> free_blocks_{};
   std::size_t occupied_ = 0;
   std::size_t covered_count_ = 0;
   std::size_t max_chain_ = 0;  ///< longest chain ever (chains never shrink)

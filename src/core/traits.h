@@ -94,8 +94,9 @@ struct StateTraits;
 template <typename Traits>
 concept PooledTraits = requires { typename Traits::Pooled; };
 
-/// A fixed-width quantized summary of a state's continuous part.
-using Signature = std::array<std::uint8_t, 16>;
+/// A fixed-width quantized summary of a state's continuous part: 32 bytes,
+/// so that a zone of dimension 6 (30 off-diagonal bounds) fits whole.
+using Signature = std::array<std::uint8_t, 32>;
 
 /// Detects traits that provide an inclusion signature for S.
 template <typename Traits, typename S>
@@ -105,18 +106,20 @@ concept SignedTraits = requires(const S& s) {
 
 /// True when one byte of `a` is below and another above the same byte of
 /// `b`: by the signature contract the two states are incomparable. It sits
-/// on the inclusion scan's hot path, so it is one 16-byte vector compare
+/// on the inclusion scan's hot path, so it is two 16-byte vector compares
 /// each way (GCC vector extensions: SSE2 on x86-64, NEON on AArch64, plain
 /// scalar code elsewhere), then an OR over each mask.
 inline bool signature_rejects(const Signature& a, const Signature& b) {
   using Bytes = std::uint8_t __attribute__((vector_size(16)));
   using Words = std::uint64_t __attribute__((vector_size(16)));
-  Bytes va;
-  Bytes vb;
-  std::memcpy(&va, a.data(), sizeof va);
-  std::memcpy(&vb, b.data(), sizeof vb);
-  const Words below = reinterpret_cast<Words>(va < vb);
-  const Words above = reinterpret_cast<Words>(va > vb);
+  Bytes va[2];
+  Bytes vb[2];
+  std::memcpy(va, a.data(), sizeof va);
+  std::memcpy(vb, b.data(), sizeof vb);
+  const Words below = reinterpret_cast<Words>(va[0] < vb[0]) |
+                      reinterpret_cast<Words>(va[1] < vb[1]);
+  const Words above = reinterpret_cast<Words>(va[0] > vb[0]) |
+                      reinterpret_cast<Words>(va[1] > vb[1]);
   return ((below[0] | below[1]) != 0) && ((above[0] | above[1]) != 0);
 }
 

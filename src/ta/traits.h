@@ -52,14 +52,15 @@ struct StateTraits<ta::SymState> {
     return relation_to_subsumes(incoming.zone.relation(stored.zone));
   }
 
-  /// Inclusion signature (core::SignedTraits): up to 16 off-diagonal DBM
+  /// Inclusion signature (core::SignedTraits): up to 32 off-diagonal DBM
   /// bounds — row 0 (lower bounds), then column 0 (upper bounds), then the
   /// remaining entries row-major — each quantized by a non-decreasing map:
   /// finite bounds to clamp(raw >> 1, -127, 127) + 128, so 1..255, and kInf
   /// to 255. An empty zone gets the all-zero signature. Every state of a
   /// partition has the same dim and so the same entry at each byte, which
   /// makes a byte-wise `<` and `>` together a proof of
-  /// dbm::Relation::kDifferent.
+  /// dbm::Relation::kDifferent. 32 bytes hold every bound of a zone up to
+  /// dimension 6 (five clocks); larger zones keep the first 32.
   static Signature signature(const ta::SymState& s) {
     Signature sig{};
     if (s.zone.is_empty()) return sig;

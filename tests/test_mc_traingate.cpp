@@ -147,6 +147,13 @@ TEST(TrainGate, FiveTrainsSearchCountsArePinned) {
   EXPECT_EQ(result.stats.states_explored, 67396u);
   EXPECT_EQ(result.stats.transitions, 125420u);
   EXPECT_EQ(obs.store_metrics().covered, 7630u);
+  // The store's scan: every live block entry walked is either rejected by
+  // its signature or zone-compared, so the sum is the walk's length; the
+  // compares are all decisive (57 935 dedups + 7 630 tombstones).
+  const core::StoreMetrics& m = obs.store_metrics();
+  EXPECT_EQ(m.zone_compares, 65565u);
+  EXPECT_EQ(m.zone_compares + m.signature_rejects, 4024470u);
+  EXPECT_EQ(m.max_chain, 1246u);
 }
 
 }  // namespace
